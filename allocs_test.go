@@ -8,6 +8,7 @@ package ambit
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -61,6 +62,18 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		t.Skip("race runtime allocates; zero-allocation gates run without -race")
 	}
 	sys, a, b, c := allocsSystem(t)
+	// The bitmap-direct query's compiled predicate: a 3-input AND whose
+	// destination is a fourth vector.
+	and3, err := sys.Compile("and3", And(Var(0), Var(1), Var(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := sys.MustAlloc(c.Len())
+	for i := 0; i < 50; i++ {
+		if err := and3.Run(out, a, b, c); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name string
 		call func() error
@@ -69,6 +82,7 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		{"Xor", func() error { return sys.Xor(c, a, b) }},
 		{"Not", func() error { return sys.Not(c, a) }},
 		{"Popcount", func() error { _, err := sys.Popcount(c); return err }},
+		{"FuncRun", func() error { return and3.Run(out, a, b, c) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,6 +92,54 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 				}
 			}); n != 0 {
 				t.Errorf("%s steady state: %v allocs/op, want 0", tc.name, n)
+			}
+		})
+	}
+}
+
+// TestBatchPopcountAllocsPerRow: a Batch pays a recording and dependency
+// graph cost that grows with the rows it touches, but its popcount rows — on
+// the fused per-bank route and on the dataflow route (forced here by ECC) —
+// count in place: the heap bytes a 64-row popcount adds over an 8-row one
+// stay far below one row buffer per extra row.
+func TestBatchPopcountAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; zero-allocation gates run without -race")
+	}
+	for _, route := range []struct {
+		name string
+		opts []Option
+	}{
+		{"fused", nil},
+		{"dataflow", []Option{WithReliability(Reliability{ECC: true})}},
+	} {
+		t.Run(route.name, func(t *testing.T) {
+			sys, err := New(route.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowBits := int64(sys.RowSizeBits())
+			const runs = 20
+			bytesPerRun := func(v *Bitvector) float64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < runs; i++ {
+					bt := sys.NewBatch()
+					if _, err := bt.Popcount(v); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := bt.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.TotalAlloc-before.TotalAlloc) / runs
+			}
+			small, large := sys.MustAlloc(8*rowBits), sys.MustAlloc(64*rowBits)
+			bytesPerRun(small) // warm pools and worker goroutines
+			perRow := (bytesPerRun(large) - bytesPerRun(small)) / 56
+			if limit := float64(sys.RowSizeBits()/8) / 4; perRow > limit {
+				t.Errorf("Batch popcount allocates %.0f B per row, want under %.0f (no row buffer per row)", perRow, limit)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package ambit
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -487,11 +486,6 @@ type batchItem struct {
 	op, row int32
 }
 
-// rowBufPool recycles full-row word buffers for the fused batch path's
-// popcount streams — the per-(bank, worker) arena that keeps the steady-state
-// data plane allocation-free.
-var rowBufPool = sync.Pool{New: func() any { return new([]uint64) }}
-
 // fusedEligible reports whether the whole program can run as one fused
 // per-bank pass.  Tracing needs per-command events, ECC needs the
 // execute-verify-retry wrapper, and an armed fault model needs the stepwise
@@ -624,12 +618,6 @@ func (b *Batch) executeFused() error {
 // (-1, nil).
 func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
 	s := b.sys
-	var rowBuf *[]uint64 // lazily claimed popcount arena
-	defer func() {
-		if rowBuf != nil {
-			rowBufPool.Put(rowBuf)
-		}
-	}()
 	k := 0
 	for k < len(idx) {
 		it := items[idx[k]]
@@ -689,20 +677,9 @@ func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
 			op.rowLats[it.row] = lat
 			k++
 		case batchPopcount:
-			if rowBuf == nil {
-				rowBuf = rowBufPool.Get().(*[]uint64)
-				if wpr := s.dev.Geometry().WordsPerRow(); cap(*rowBuf) < wpr {
-					*rowBuf = make([]uint64, wpr)
-				}
-				*rowBuf = (*rowBuf)[:s.dev.Geometry().WordsPerRow()]
-			}
-			addr := op.a.rows[it.row]
-			if err := s.dev.ReadRowInto(addr, *rowBuf); err != nil {
+			pc, err := s.dev.PopcountRow(op.a.rows[it.row])
+			if err != nil {
 				return idx[k], fmt.Errorf("ambit: batch Popcount row %d: %w", it.row, err)
-			}
-			var pc int64
-			for _, w := range *rowBuf {
-				pc += int64(bits.OnesCount64(w))
 			}
 			atomic.AddInt64(&op.result.n, pc)
 			k++
@@ -844,14 +821,12 @@ func (b *Batch) execOp(i int) error {
 		var n int64
 		for r, addr := range op.a.rows {
 			eng.LockBank(addr.Bank)
-			row, err := s.dev.ReadRow(addr)
+			pc, err := s.dev.PopcountRow(addr)
 			eng.UnlockBank(addr.Bank)
 			if err != nil {
 				return fmt.Errorf("ambit: batch Popcount row %d: %w", r, err)
 			}
-			for _, w := range row {
-				n += int64(bits.OnesCount64(w))
-			}
+			n += pc
 		}
 		op.result.n = n
 	}

@@ -3,7 +3,8 @@ package main
 // Machine-readable benchmarking: `ambitbench -json out.json` measures the
 // host-side cost of the functional simulation executing direct bulk
 // operations through the public API, across operation types and row counts
-// (rows spread across banks by the allocator), plus a host-I/O grid covering
+// (rows spread across banks by the allocator), a compiled-function row (the
+// Figure 10 query's 3-input AND through Func.Run), plus a host-I/O grid covering
 // the staged (ReadInto/Write) and zero-copy (ViewWords/SetWords) data paths,
 // and writes a JSON report.  `-maxprocs 1,4` repeats the grid once per
 // GOMAXPROCS setting, tagging each result, and `-cpuprofile out.pprof`
@@ -75,6 +76,11 @@ var (
 	benchRowCounts = []int{1, 8, 64}
 )
 
+// funcRowCounts sizes the compiled-function rows: a 3-input AND compiled
+// with System.Compile and run through Func.Run, the shape of the Figure 10
+// bitmap query's predicate.
+var funcRowCounts = []int{8, 64}
+
 // hostIOPaths and hostIORowCounts define the host-I/O grid: the staged read
 // and write paths against their zero-copy view counterparts.
 var (
@@ -132,6 +138,11 @@ func benchName(op controller.Op, rows int) string {
 	return fmt.Sprintf("DirectOps/%s-rows%d", op, rows)
 }
 
+// funcName names one compiled-function grid benchmark.
+func funcName(rows int) string {
+	return fmt.Sprintf("DirectOps/func-and3-rows%d", rows)
+}
+
 // hostIOName names one host-I/O grid benchmark.
 func hostIOName(path string, rows int) string {
 	return fmt.Sprintf("HostIO/%s-rows%d", path, rows)
@@ -139,11 +150,14 @@ func hostIOName(path string, rows int) string {
 
 // benchGridNames returns every -json grid benchmark name in run order.
 func benchGridNames() []string {
-	names := make([]string, 0, len(benchRowCounts)*len(benchOps)+len(hostIORowCounts)*len(hostIOPaths))
+	names := make([]string, 0, len(benchRowCounts)*len(benchOps)+len(funcRowCounts)+len(hostIORowCounts)*len(hostIOPaths))
 	for _, rows := range benchRowCounts {
 		for _, op := range benchOps {
 			names = append(names, benchName(op, rows))
 		}
+	}
+	for _, rows := range funcRowCounts {
+		names = append(names, funcName(rows))
 	}
 	for _, rows := range hostIORowCounts {
 		for _, path := range hostIOPaths {
@@ -210,6 +224,54 @@ func runDirectOpGrid(rep *BenchReport, match func(string) bool, m *sysmodel.Mach
 				CPUModelNS: m.CPUBitwiseNS(op.InputRows(), bytes, 32<<20),
 			}, bytes)
 		}
+	}
+	return nil
+}
+
+// runFuncGrid measures the compiled-function rows under the current
+// GOMAXPROCS: out = x AND y AND d through one compiled train per row.
+func runFuncGrid(rep *BenchReport, match func(string) bool, m *sysmodel.Machine) error {
+	for _, rows := range funcRowCounts {
+		if !match(funcName(rows)) {
+			continue
+		}
+		sys, x, y, d, err := benchSetup(rows)
+		if err != nil {
+			return err
+		}
+		out, err := sys.Alloc(d.Len())
+		if err != nil {
+			return err
+		}
+		f, err := sys.Compile("and3", ambit.And(ambit.Var(0), ambit.Var(1), ambit.Var(2)))
+		if err != nil {
+			return err
+		}
+		if err := f.Run(out, x, y, d); err != nil {
+			return err
+		}
+		simNS := sys.ElapsedNS()
+		bytes := int64(rows) * int64(sys.Config().DRAM.Geometry.RowSizeBytes)
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(bytes)
+			for i := 0; i < b.N; i++ {
+				if err := f.Run(out, x, y, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		appendResult(rep, BenchResult{
+			Name:        funcName(rows),
+			Op:          "func-and3",
+			Rows:        rows,
+			Banks:       distinctBanks(out),
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: float64(r.AllocsPerOp()),
+			BytesPerOp:  float64(r.AllocedBytesPerOp()),
+			SimNS:       simNS,
+			CPUModelNS:  m.CPUBitwiseNS(3, bytes, 32<<20),
+		}, bytes)
 	}
 	return nil
 }
@@ -336,6 +398,9 @@ func runBenchJSON(path, filter string, procs []int, cpuProfile string) error {
 	for _, p := range procs {
 		runtime.GOMAXPROCS(p)
 		if err := runDirectOpGrid(&rep, match, m); err != nil {
+			return err
+		}
+		if err := runFuncGrid(&rep, match, m); err != nil {
 			return err
 		}
 		if err := runHostIOGrid(&rep, match); err != nil {

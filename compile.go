@@ -195,15 +195,21 @@ func (s *System) checkFuncOperands(f *Func, dsts, srcs []*Bitvector) error {
 		return fmt.Errorf("ambit: func %s: got %d sources and %d destinations, want %d and %d",
 			f.name, len(srcs), len(dsts), f.c.NumInputs, f.c.NumOutputs)
 	}
-	all := make([]*Bitvector, 0, len(dsts)+len(srcs))
-	all = append(all, dsts...)
-	all = append(all, srcs...)
-	if err := s.checkOperands("func "+f.name, all...); err != nil {
-		return err
+	// Operands are checked in place, destinations first, and the error text
+	// is formatted only on failure: the steady-state Run allocates nothing.
+	groups := [2][]*Bitvector{dsts, srcs}
+	for _, vs := range groups {
+		for _, v := range vs {
+			if err := s.operandErr(v); err != nil {
+				return fmt.Errorf("ambit: func %s: %w", f.name, err)
+			}
+		}
 	}
-	for _, v := range all[1:] {
-		if !all[0].sameShape(v) {
-			return fmt.Errorf("ambit: func %s: %w (size mismatch or foreign allocation); operands must be allocated with the same size and base slot on one System (Section 5.4.2)", f.name, ErrShapeMismatch)
+	for _, vs := range groups {
+		for _, v := range vs {
+			if !dsts[0].sameShape(v) {
+				return fmt.Errorf("ambit: func %s: %w (size mismatch or foreign allocation); operands must be allocated with the same size and base slot on one System (Section 5.4.2)", f.name, ErrShapeMismatch)
+			}
 		}
 	}
 	tr := f.c.Train
@@ -307,7 +313,11 @@ func (s *System) runFuncParallel(tag Tag, f *Func, dsts, srcs []*Bitvector) erro
 	s.eng.LockBanks(banks)
 	ss := s.cfg.Tracer.BeginShards(banks)
 	run := getOpRunner(s)
-	run.kind, run.f, run.dsts, run.srcs = runFunc, f, dsts, srcs
+	// The runner keeps its own copies of the operand lists, so Run's
+	// one-element destination list and variadic sources stay on the stack.
+	run.kind, run.f = runFunc, f
+	run.dsts = append(run.dsts, dsts...)
+	run.srcs = append(run.srcs, srcs...)
 	run.start, run.ss, run.tag = start, ss, tag
 	res := s.eng.RunPlan(plan, run)
 	putOpRunner(run)

@@ -52,6 +52,10 @@ type Controller struct {
 	// fused run).
 	noFuse bool
 
+	// netScratch holds each bank's register file for compiled-train
+	// evaluation; per-bank access is serialized by the caller.
+	netScratch []netScratch
+
 	mu    sync.Mutex // guards stats
 	stats Stats
 }
@@ -91,7 +95,7 @@ func (c *Controller) stepEnergyNJ(kind StepKind, a1, a2 dram.RowAddr) float64 {
 // New creates a controller over dev with the split decoder enabled (the
 // paper's design point).
 func New(dev *dram.Device) *Controller {
-	return &Controller{dev: dev, SplitDecoder: true}
+	return &Controller{dev: dev, SplitDecoder: true, netScratch: make([]netScratch, dev.Geometry().Banks)}
 }
 
 // Device returns the underlying device.

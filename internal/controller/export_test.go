@@ -1,0 +1,18 @@
+package controller
+
+import "ambit/internal/dram"
+
+// Hooks for the external test package, which imports internal/compile (an
+// importer of this package) to drive compiled trains.
+
+// NetChunk is the net-effect evaluation granularity in words.
+const NetChunk = netChunk
+
+// SetNoFuse forces every train of c onto the step-by-step path.
+func SetNoFuse(c *Controller, noFuse bool) { c.noFuse = noFuse }
+
+// HasNetProgram reports whether t compiled to a net-effect program.
+func HasNetProgram(t *Train) bool { return t.net != nil }
+
+// LayoutFusable reports whether the net program is exact for rows.
+func LayoutFusable(t *Train, rows []dram.RowAddr) bool { return t.layoutFusable(rows) }

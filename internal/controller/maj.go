@@ -93,6 +93,8 @@ func (c *Controller) ExecuteMaj(bank, sub int, dk dram.RowAddr, srcs []dram.RowA
 	c.dev.BeginTrain(bank, sub, dk.Index)
 
 	// Stage: c replicas of each source, then a balanced zero/one fill.
+	// Comments only reach traced events, so they are formatted only then.
+	traced := c.tr.Enabled()
 	var total float64
 	next := scratchBase
 	stage := func(src dram.RowAddr, comment string) error {
@@ -106,7 +108,11 @@ func (c *Controller) ExecuteMaj(bank, sub int, dk dram.RowAddr, srcs []dram.RowA
 	}
 	for i, s := range srcs {
 		for j := 0; j < repl; j++ {
-			if err := stage(s, fmt.Sprintf("stage replica %d of operand %d", j, i)); err != nil {
+			var comment string
+			if traced {
+				comment = fmt.Sprintf("stage replica %d of operand %d", j, i)
+			}
+			if err := stage(s, comment); err != nil {
 				return total, err
 			}
 		}

@@ -242,4 +242,11 @@ func TestExecuteMajTraced(t *testing.T) {
 	if aaps != 16 {
 		t.Fatalf("traced %d staging AAPs, want 16", aaps)
 	}
+	// 16 rows / 3 inputs: 4 replicas each, then 2 zero and 2 one fill rows.
+	if got, want := events[5].Comment, "stage replica 1 of operand 1"; got != want {
+		t.Errorf("staging comment = %q, want %q", got, want)
+	}
+	if got, want := events[13].Comment, "stage balanced fill (zeros)"; got != want {
+		t.Errorf("fill comment = %q, want %q", got, want)
+	}
 }

@@ -71,16 +71,18 @@ type Train struct {
 	aaps, aps int64
 	splitAAPs int64
 
-	// fusedOK reports that every step is modelable by the word-level net
-	// effect interpreter: no two-wordline sensing (charge sharing between
-	// distinct cells is only defined when their contents agree, which a
-	// template cannot guarantee).
-	fusedOK bool
+	// net is the compiled net effect (net.go), nil when some step is not
+	// modelable at the template level: two-wordline sensing (charge sharing
+	// between distinct cells is only defined when their contents agree,
+	// which a template cannot guarantee).
+	net *netProgram
 
 	// firstWrite[i] is the first step index whose destination is operand i,
 	// lastRead[i] the last step index sensing operand i; -1 when absent.
 	// The root package uses these for in-place aliasing checks.
 	firstWrite, lastRead []int
+	// written lists the operand slots any step writes, in slot order.
+	written []int
 	// firstOut is the first operand written by any step, -1 if the train
 	// writes no operand; it provides the destination-row context handed to
 	// the fault injector via BeginTrain.
@@ -102,7 +104,6 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 		name:       name,
 		operands:   operands,
 		steps:      append([]TrainStep(nil), steps...),
-		fusedOK:    true,
 		firstWrite: make([]int, operands),
 		lastRead:   make([]int, operands),
 		firstOut:   -1,
@@ -142,12 +143,6 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 				return nil, err
 			}
 			wc1 = dram.WordlineCount(s.A1)
-			if wc1 == 2 {
-				// Two-wordline sensing has no defined template-level
-				// semantics (see Subarray.Activate); the word-level
-				// interpreter cannot model it.
-				t.fusedOK = false
-			}
 		}
 		t.acts[wc1-1]++
 		t.pres++
@@ -180,6 +175,14 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 		if b1 != b2 {
 			t.splitAAPs++
 		}
+	}
+	for i, w := range t.firstWrite {
+		if w >= 0 {
+			t.written = append(t.written, i)
+		}
+	}
+	if p, ok := compileNet(operands, t.steps); ok {
+		t.net = p
 	}
 	return t, nil
 }
@@ -261,10 +264,11 @@ func resolveTrainAddr(a dram.RowAddr, op int, rows []dram.RowAddr) dram.RowAddr 
 // ExecuteTrain runs one compiled train on the given bank/subarray with the
 // given operand rows (all D-group, one per operand slot), returning the
 // train's total command latency.  Dispatch mirrors ExecuteOp: untraced
-// precharged banks take the fused word-level evaluator (allocation-free);
-// traced runs take the fused evaluator plus event replay; an armed fault
-// model or open bank falls back to step-by-step execution through the same
-// aap/ap primitives the built-in ops use.
+// precharged banks take the compiled net effect (allocation-free); traced
+// runs take it plus event replay; an armed fault model, an open bank, a
+// train with two-wordline sensing, or an operand layout the net program
+// cannot order falls back to step-by-step execution through the same aap/ap
+// primitives the built-in ops use.
 func (c *Controller) ExecuteTrain(t *Train, bank, sub int, rows []dram.RowAddr) (float64, error) {
 	if len(rows) != t.operands {
 		return 0, fmt.Errorf("controller: train %q: got %d operand rows, want %d", t.name, len(rows), t.operands)
@@ -306,85 +310,20 @@ func (c *Controller) ScheduleTrain(t *Train, bank, sub int, rows []dram.RowAddr,
 	return c.dev.Bank(bank).Reserve(start, lat), nil
 }
 
-// executeTrainFused applies the train's net effect word by word when nothing
-// can observe the intermediate states (precharged subarray, no fault hook;
-// the template itself guaranteed modelability via fusedOK).  Within each
-// step, every source word is read before any destination word is written, so
-// steps whose destination overlaps their source set (e.g. the restore of a
-// TRA triple) are exact.  Stats, latency, and energy are charged from the
-// census, bit-identical to the step-by-step path.
+// executeTrainFused applies the train's compiled net effect (net.go) when
+// nothing can observe the intermediate states: a precharged subarray, no
+// fault hook, a train without two-wordline sensing, and an operand layout the
+// net program can order (layoutFusable).  Stats, latency, and energy are
+// charged from the census, bit-identical to the step-by-step path.
 func (c *Controller) executeTrainFused(t *Train, bank, sub int, rows []dram.RowAddr) (float64, bool) {
-	if !t.fusedOK || c.noFuse {
+	if t.net == nil || c.noFuse || !t.layoutFusable(rows) {
 		return 0, false
 	}
 	sa := c.dev.Bank(bank).Subarray(sub)
 	if !sa.FusedEligible() {
 		return 0, false
 	}
-	g := c.dev.Geometry()
-
-	var wlbuf [3]dram.Wordline
-	var tgts [3]trainTarget
-
-	for si := range t.steps {
-		s := &t.steps[si]
-
-		// Gather the destination streams: the restore of the sensing set
-		// plus, for AAP, the overwrite of the second address's set.
-		ntgt := 0
-		if s.Kind == StepAAP {
-			if s.Op2 >= 0 {
-				tgts[0] = trainTarget{d: sa.CellData(dram.Wordline{Kind: dram.WLData, Index: rows[s.Op2].Index})}
-				ntgt = 1
-			} else {
-				wls, err := dram.AppendWordlines(wlbuf[:0], s.A2, g)
-				if err != nil {
-					return 0, false
-				}
-				for _, wl := range wls {
-					if wl.Kind == dram.WLC {
-						return 0, false // unreachable: NewTrain rejects C targets
-					}
-					tgts[ntgt] = trainTarget{d: sa.CellData(wl), neg: wl.Negated()}
-					ntgt++
-				}
-			}
-		}
-
-		// Resolve the sensing side and apply.
-		switch {
-		case s.Op1 >= 0:
-			src := sa.CellData(dram.Wordline{Kind: dram.WLData, Index: rows[s.Op1].Index})
-			applyTrainCopy(src, false, tgts[:ntgt])
-		case s.A1.Group == dram.GroupC:
-			var v uint64
-			if s.A1.Index == 1 {
-				v = ^uint64(0)
-			}
-			for ti := 0; ti < ntgt; ti++ {
-				fillWords(tgts[ti].d, v, tgts[ti].neg)
-			}
-		default: // fixed B-group address
-			wls, err := dram.AppendWordlines(wlbuf[:0], s.A1, g)
-			if err != nil {
-				return 0, false
-			}
-			switch len(wls) {
-			case 1:
-				// A single raised wordline senses the cell (negated
-				// presentation for an n-wordline) and restores it
-				// unchanged; only the copy targets change.
-				applyTrainCopy(sa.CellData(wls[0]), wls[0].Negated(), tgts[:ntgt])
-			case 3:
-				// Triple-row activation: majority, restored into all
-				// three cells (Table 1 triples raise no negated
-				// wordlines), then copied out.
-				applyTrainTRA(sa.CellData(wls[0]), sa.CellData(wls[1]), sa.CellData(wls[2]), tgts[:ntgt])
-			default:
-				return 0, false // unreachable: fusedOK excluded 2-wordline sensing
-			}
-		}
-	}
+	t.net.run(sa, rows, c.dev.Geometry().WordsPerRow(), &c.netScratch[bank])
 
 	total := c.TrainLatencyNS(t)
 	st := dram.Stats{Precharges: t.pres}
@@ -399,57 +338,25 @@ func (c *Controller) executeTrainFused(t *Train, bank, sub int, rows []dram.RowA
 	return total, true
 }
 
-// trainTarget is one destination stream of a fused step: the cell slice and
-// whether the wordline writes the sensed value's complement (n-wordline).
-type trainTarget struct {
-	d   []uint64
-	neg bool
-}
-
-// applyTrainCopy writes the sensed value of one source stream into every
-// target stream, respecting wordline polarity.  Source words are read before
-// destination words at the same index, so overlapping source/target slices
-// behave like the hardware (the value was latched before the restore).
-func applyTrainCopy(src []uint64, srcNeg bool, tgts []trainTarget) {
-	for ti := range tgts {
-		d := tgts[ti].d[:len(src)]
-		if srcNeg != tgts[ti].neg {
-			for i, v := range src {
-				d[i] = ^v
+// layoutFusable reports whether the net program is exact for this operand
+// layout.  The symbolic model treats operand slots as distinct cells, which
+// still holds when slots share a row as long as the sharing is invisible:
+// read-only slots may coincide freely, and a written slot may share its row
+// with a read-only slot whose last read comes no later than the write (the
+// step senses before it writes).  Two written slots on one row, or a shared
+// row read after it is written, take the stepwise path.
+func (t *Train) layoutFusable(rows []dram.RowAddr) bool {
+	for _, j := range t.written {
+		for i, r := range rows {
+			if i == j || r.Index != rows[j].Index {
+				continue
 			}
-		} else {
-			copy(d, src) // no-op when the target aliases the source
-		}
-	}
-}
-
-// applyTrainTRA computes the majority of three cell streams, restores it into
-// all three, and copies it into the targets.
-func applyTrainTRA(s1, s2, s3 []uint64, tgts []trainTarget) {
-	s2 = s2[:len(s1)]
-	s3 = s3[:len(s1)]
-	for i := range s1 {
-		a, b, cc := s1[i], s2[i], s3[i]
-		m := (a & b) | (a & cc) | (b & cc)
-		s1[i], s2[i], s3[i] = m, m, m
-		for ti := range tgts {
-			if tgts[ti].neg {
-				tgts[ti].d[i] = ^m
-			} else {
-				tgts[ti].d[i] = m
+			if t.firstWrite[i] >= 0 || t.lastRead[i] > t.firstWrite[j] {
+				return false
 			}
 		}
 	}
-}
-
-// fillWords fills dst with v (or its complement).
-func fillWords(dst []uint64, v uint64, neg bool) {
-	if neg {
-		v = ^v
-	}
-	for i := range dst {
-		dst[i] = v
-	}
+	return true
 }
 
 // executeTrainStepwise runs the train through the aap/ap primitives — the

@@ -92,78 +92,11 @@ func TestTrainCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.fusedOK {
-		t.Error("two-wordline sensing train marked fusedOK")
+	if two.net != nil {
+		t.Error("two-wordline sensing train has a net program")
 	}
-	if tr.fusedOK != true {
-		t.Error("and train not fusedOK")
-	}
-}
-
-// TestTrainFusedMatchesStepwise executes hand-built trains on twin
-// controllers — fused and noFuse — over random rows and demands identical
-// cells, latencies, controller stats, and device stats.
-func TestTrainFusedMatchesStepwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	words := testGeom().WordsPerRow()
-	fused, step := testController(t), testController(t)
-	step.noFuse = true
-
-	type run struct {
-		tr   *Train
-		rows []dram.RowAddr
-	}
-	runs := []run{
-		{andTrain(t), []dram.RowAddr{dram.D(0), dram.D(1), dram.D(2)}},
-		{notTrain(t), []dram.RowAddr{dram.D(3), dram.D(4)}},
-	}
-	for _, r := range runs {
-		for _, addr := range r.rows {
-			row := randRow(rng, words)
-			pokeRow(t, fused, 0, 0, addr, row)
-			pokeRow(t, step, 0, 0, addr, row)
-		}
-		latF, err := fused.ExecuteTrain(r.tr, 0, 0, r.rows)
-		if err != nil {
-			t.Fatalf("%s fused: %v", r.tr.Name(), err)
-		}
-		latS, err := step.ExecuteTrain(r.tr, 0, 0, r.rows)
-		if err != nil {
-			t.Fatalf("%s stepwise: %v", r.tr.Name(), err)
-		}
-		if latF != latS {
-			t.Errorf("%s: latency %v != %v", r.tr.Name(), latF, latS)
-		}
-		if want := fused.TrainLatencyNS(r.tr); latF != want {
-			t.Errorf("%s: executed latency %v != TrainLatencyNS %v", r.tr.Name(), latF, want)
-		}
-		for _, addr := range r.rows {
-			got, want := peekRow(t, fused, 0, 0, addr), peekRow(t, step, 0, 0, addr)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: row %v diverges between paths", r.tr.Name(), addr)
-			}
-		}
-	}
-	// Functional check on the last state: D2 = D0 & D1, D4 = !D3.
-	d0, d1 := peekRow(t, fused, 0, 0, dram.D(0)), peekRow(t, fused, 0, 0, dram.D(1))
-	d2 := peekRow(t, fused, 0, 0, dram.D(2))
-	d3, d4 := peekRow(t, fused, 0, 0, dram.D(3)), peekRow(t, fused, 0, 0, dram.D(4))
-	for w := range d2 {
-		if d2[w] != d0[w]&d1[w] {
-			t.Fatalf("and word %d: %016x != %016x & %016x", w, d2[w], d0[w], d1[w])
-		}
-		if d4[w] != ^d3[w] {
-			t.Fatalf("not word %d: %016x != ^%016x", w, d4[w], d3[w])
-		}
-	}
-	if fused.Stats() != step.Stats() {
-		t.Errorf("controller stats diverge:\n fused %+v\n  step %+v", fused.Stats(), step.Stats())
-	}
-	if fused.Device().Stats() != step.Device().Stats() {
-		t.Errorf("device stats diverge:\n fused %+v\n  step %+v", fused.Device().Stats(), step.Device().Stats())
-	}
-	if got := fused.Stats().Trains; got != int64(len(runs)) {
-		t.Errorf("Trains counter = %d, want %d", got, len(runs))
+	if tr.net == nil {
+		t.Error("and train has no net program")
 	}
 }
 

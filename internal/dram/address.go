@@ -205,6 +205,10 @@ func AppendWordlines(buf []Wordline, a RowAddr, g Geometry) ([]Wordline, error) 
 	}
 }
 
+// BGroupWordlines returns the Table-1 wordline set of address Bi without
+// copying; the caller must not modify it.  i must be in [0, BGroupAddresses).
+func BGroupWordlines(i int) []Wordline { return bGroupMap[i] }
+
 // BGroupTable returns a copy of the full Table-1 mapping, keyed by B-group
 // address index.  Used by the experiment harness to print Table 1.
 func BGroupTable() [][]Wordline {

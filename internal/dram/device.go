@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -274,6 +275,39 @@ func (d *Device) ReadRowInto(p PhysAddr, dst []uint64) error {
 	err := d.PrechargeLocal(p.Bank, &st)
 	d.CommitStats(st)
 	return err
+}
+
+// PopcountRow counts the set bits of one row with ReadRowInto's exact census
+// — an ACTIVATE, WordsPerRow column reads, a PRECHARGE — reading the words
+// straight from the live row buffer instead of copying them out first.
+func (d *Device) PopcountRow(p PhysAddr) (int64, error) {
+	var st Stats
+	if err := d.ActivateLocal(p, &st); err != nil {
+		d.CommitStats(st)
+		return 0, err
+	}
+	b := d.banks[p.Bank]
+	words := d.cfg.Geometry.WordsPerRow()
+	var n int64
+	if buf := b.RowBufferData(); len(buf) == words {
+		for _, w := range buf {
+			n += int64(bits.OnesCount64(w))
+		}
+	} else {
+		for c := 0; c < words; c++ {
+			v, err := b.ReadColumn(c)
+			if err != nil {
+				st.ColumnReads += int64(c)
+				d.CommitStats(st)
+				return 0, err
+			}
+			n += int64(bits.OnesCount64(v))
+		}
+	}
+	st.ColumnReads += int64(words)
+	err := d.PrechargeLocal(p.Bank, &st)
+	d.CommitStats(st)
+	return n, err
 }
 
 // WriteRow performs an ACTIVATE, a full row of column writes, and a

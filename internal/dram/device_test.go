@@ -2,6 +2,7 @@ package dram
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -38,6 +39,41 @@ func TestDeviceReadWriteRow(t *testing.T) {
 	}
 	if !equalRows(got, data) {
 		t.Fatalf("ReadRow = %x, want %x", got, data)
+	}
+}
+
+// TestDevicePopcountRow: counting a row in place issues exactly ReadRow's
+// commands and agrees with counting a copy.
+func TestDevicePopcountRow(t *testing.T) {
+	d, ref := newTestDevice(t), newTestDevice(t)
+	rng := rand.New(rand.NewSource(12))
+	data := randRow(rng, d.Geometry().WordsPerRow())
+	p := PhysAddr{Bank: 1, Subarray: 0, Row: D(2)}
+	for _, dev := range []*Device{d, ref} {
+		if err := dev.PokeRow(p, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := d.PopcountRow(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := ref.ReadRow(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, w := range row {
+		want += int64(bits.OnesCount64(w))
+	}
+	if got != want {
+		t.Errorf("PopcountRow = %d, want %d", got, want)
+	}
+	if d.Stats() != ref.Stats() {
+		t.Errorf("PopcountRow census %+v, ReadRow census %+v", d.Stats(), ref.Stats())
+	}
+	if _, err := d.PopcountRow(PhysAddr{Bank: 9, Row: D(0)}); err == nil {
+		t.Error("PopcountRow accepted an out-of-range bank")
 	}
 }
 

@@ -171,7 +171,8 @@ func (s *System) majParallel(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
 	s.eng.LockBanks(banks)
 	ss := s.cfg.Tracer.BeginShards(banks)
 	run := getOpRunner(s)
-	run.kind, run.dst, run.srcs = runMaj, dst, srcs
+	run.kind, run.dst = runMaj, dst
+	run.srcs = append(run.srcs, srcs...)
 	run.start, run.ss, run.tag = start, ss, tag
 	res := s.eng.RunPlan(plan, run)
 	putOpRunner(run)

@@ -3,7 +3,6 @@ package ambit
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"ambit/internal/controller"
 	"ambit/internal/dram"
@@ -19,15 +18,23 @@ import (
 // exclusive lock).
 func (s *System) checkOperands(name string, vs ...*Bitvector) error {
 	for _, v := range vs {
-		if v == nil {
-			return fmt.Errorf("ambit: %s: %w", name, ErrNilOperand)
+		if err := s.operandErr(v); err != nil {
+			return fmt.Errorf("ambit: %s: %w", name, err)
 		}
-		if v.sys != s {
-			return fmt.Errorf("ambit: %s: %w", name, ErrForeignSystem)
-		}
-		if v.rows == nil {
-			return fmt.Errorf("ambit: %s: %w", name, ErrFreed)
-		}
+	}
+	return nil
+}
+
+// operandErr returns the sentinel error that makes v unusable as an operand
+// on s, or nil.
+func (s *System) operandErr(v *Bitvector) error {
+	switch {
+	case v == nil:
+		return ErrNilOperand
+	case v.sys != s:
+		return ErrForeignSystem
+	case v.rows == nil:
+		return ErrFreed
 	}
 	return nil
 }
@@ -545,14 +552,12 @@ func (s *System) popcountTagged(tag Tag, v *Bitvector) (int64, error) {
 	}
 	opStart := s.stats.ElapsedNS
 	var n int64
-	buf := s.rowScratch()
 	for _, addr := range v.rows {
-		if err := s.dev.ReadRowInto(addr, buf); err != nil {
+		pc, err := s.dev.PopcountRow(addr)
+		if err != nil {
 			return 0, err
 		}
-		for _, w := range buf {
-			n += int64(bits.OnesCount64(w))
-		}
+		n += pc
 	}
 	s.chargeChannel(int64(len(v.rows)) * int64(s.dev.Geometry().RowSizeBytes))
 	if observing {

@@ -46,8 +46,8 @@ type opRunner struct {
 	op    controller.Op
 	dst   *Bitvector
 	a, b  *Bitvector
-	srcs  []*Bitvector // maj sources / func inputs
-	dsts  []*Bitvector // func outputs
+	srcs  []*Bitvector // maj sources / func inputs (runner-owned copies)
+	dsts  []*Bitvector // func outputs (runner-owned copy)
 	f     *Func
 	fill  bool
 	ecc   bool
@@ -66,8 +66,11 @@ func getOpRunner(s *System) *opRunner {
 }
 
 // putOpRunner clears the runner's references and returns it to the pool.
+// The operand lists keep their capacity for the next checkout.
 func putOpRunner(r *opRunner) {
-	*r = opRunner{}
+	clear(r.dsts)
+	clear(r.srcs)
+	*r = opRunner{dsts: r.dsts[:0], srcs: r.srcs[:0]}
 	opRunnerPool.Put(r)
 }
 
