@@ -98,10 +98,10 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBatchPopcountAllocsPerRow: a Batch pays a recording and dependency
-// graph cost that grows with the rows it touches, but its popcount rows — on
-// the fused per-bank route and on the dataflow route (forced here by ECC) —
-// count in place: the heap bytes a 64-row popcount adds over an 8-row one
-// stay far below one row buffer per extra row.
+// graph cost that grows with the rows it touches, but its popcount rows —
+// with and without ECC (the "dataflow" case) — count in place: the heap
+// bytes a 64-row popcount adds over an 8-row one stay far below one row
+// buffer per extra row.
 func TestBatchPopcountAllocsPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates; zero-allocation gates run without -race")

@@ -44,11 +44,12 @@
 // Issuing operations one at a time serializes them on the system's global
 // clock even when they occupy different banks.  A Batch instead records a
 // program of operations, builds a dependency graph from their operand row
-// sets, and dispatches every independent operation concurrently: per-bank
+// sets, and schedules independent operations concurrently: per-bank
 // timelines advance independently (Section 7's bank-level parallelism, as
 // programs of primitives in the spirit of the follow-up "In-DRAM Bulk
 // Bitwise Execution Engine", arXiv 1905.09822), and the host-side functional
-// simulation fans out across a goroutine worker pool.
+// simulation runs each bank's rows as one recording-order stream, the banks
+// in parallel.
 //
 //	batch := sys.NewBatch()
 //	batch.Xor(t, a, b)   // recorded, not yet executed
@@ -290,7 +291,7 @@ type System struct {
 	rc   *rowclone.Engine
 
 	// eng is the shared execution core: per-bank shard locks plus the
-	// bounded worker pool both direct ops and batches dispatch through.
+	// bounded worker pool both direct ops and batches run on.
 	eng *exec.Engine
 
 	// execMu is the execution lock.  Parallel operation paths hold it for

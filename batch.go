@@ -3,11 +3,11 @@ package ambit
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"ambit/internal/controller"
 	"ambit/internal/dram"
+	"ambit/internal/exec"
 	"ambit/internal/obs"
 	"ambit/internal/program"
 )
@@ -66,16 +66,20 @@ func (o *batchOp) metricName() string {
 	}
 }
 
-// rows returns how many rows the op touches (for span reporting).
-func (o *batchOp) rows() int {
+// itemRows returns the rows that key the op's row-level items: the rows
+// whose banks run them.
+func (o *batchOp) itemRows() []dram.PhysAddr {
 	switch o.kind {
 	case batchPopcount:
-		return len(o.a.rows)
+		return o.a.rows
 	case batchFunc:
-		return len(o.dsts[0].rows)
+		return o.dsts[0].rows
 	}
-	return len(o.dst.rows)
+	return o.dst.rows
 }
+
+// rows returns how many rows the op touches (for span reporting).
+func (o *batchOp) rows() int { return len(o.itemRows()) }
 
 // name renders the op for error messages.
 func (o *batchOp) name() string {
@@ -167,11 +171,12 @@ type BatchReport struct {
 // Batch records a program of bulk operations for pipelined dispatch.
 //
 // Operations are recorded by the same-named methods (And, Xor, Copy, ...)
-// and validated immediately, but nothing executes until Run.  Run builds a
-// dependency graph from the operations' operand row sets (internal/program),
-// executes independent operations concurrently on a goroutine worker pool,
-// and schedules their command trains against per-bank timelines: two
-// operations that touch disjoint banks overlap fully in simulated time,
+// and validated immediately, but nothing executes until Run.  Run executes
+// the program as one recording-order stream of row-level command trains per
+// bank, the banks in parallel on the System's execution engine, then builds
+// a dependency graph from the operations' operand row sets
+// (internal/program) and schedules their trains against per-bank timelines:
+// two operations that touch disjoint banks overlap fully in simulated time,
 // instead of serializing on the System's global clock the way direct calls
 // do.  This is the "program of bbop primitives" execution model of the
 // follow-up work "In-DRAM Bulk Bitwise Execution Engine" (arXiv 1905.09822).
@@ -180,10 +185,6 @@ type BatchReport struct {
 // then Run (Run itself synchronizes with all other System activity).  A
 // Batch can run only once.
 type Batch struct {
-	// Workers caps the goroutines executing the host-side functional
-	// simulation; 0 means GOMAXPROCS.
-	Workers int
-
 	sys *System
 	ops []*batchOp
 	ran bool
@@ -297,14 +298,13 @@ func (b *Batch) Popcount(v *Bitvector) (*PopcountResult, error) {
 // Run executes the recorded program.
 //
 // The run has two phases.  The functional phase executes every operation's
-// command trains against the simulated device.  When the batch is untraced,
-// fault-free, and non-ECC, the whole program collapses into one fused
-// word-parallel pass per bank (executeFused): the program is flattened into
-// row-level items, each bank's items run on one goroutine in recording order,
-// and consecutive same-opcode bulk items evaluate in a single word-parallel
-// kernel sweep.  Otherwise independent operations fan out across a worker
-// pool (one lock per bank keeps trains on a bank atomic).  Both routes are
-// bit- and Stats-identical.  The timing phase then replays the program in deterministic
+// command trains against the simulated device: the program is flattened
+// into row-level items, each bank's items run as one stream in recording
+// order (banks in parallel), and consecutive same-opcode bulk items on a
+// bank evaluate in a single word-parallel kernel sweep when nothing — a
+// tracer, the ECC policy, an armed fault injector — needs the individual
+// commands.  Traces, fault draws, results and Stats are identical at every
+// worker count.  The timing phase then replays the program in deterministic
 // order against the per-bank timelines: an operation starts when its
 // dependencies finish, and each of its row trains occupies its bank from the
 // bank's own earliest free moment — so independent operations on disjoint
@@ -312,7 +312,9 @@ func (b *Batch) Popcount(v *Bitvector) (*PopcountResult, error) {
 // makespan, not by the sum of operation latencies.
 //
 // On error the simulated clock and counters are left unchanged, but DRAM
-// contents may reflect a partially executed program.
+// contents may reflect a partially executed program: every bank stream runs
+// until its own first failure, and the error reported is the failure
+// earliest in recording order.
 func (b *Batch) Run() (BatchReport, error) {
 	s := b.sys
 	s.execMu.Lock()
@@ -337,8 +339,7 @@ func (b *Batch) Run() (BatchReport, error) {
 	if observing {
 		devBefore = s.dev.Stats()
 	}
-	g := program.Build(b.programOps())
-	if err := b.execute(g); err != nil {
+	if err := b.execute(); err != nil {
 		// Reliability outcomes of completed rows are dropped on error
 		// (the timing phase never runs), but an exhausted retry budget is
 		// still counted so the failure is visible in the stats.
@@ -350,6 +351,7 @@ func (b *Batch) Run() (BatchReport, error) {
 		}
 		return BatchReport{}, err
 	}
+	g := program.Build(b.programOps())
 	makespan := b.schedule(g)
 	if observing {
 		s.observeOp(Tag{}, "batch", -1, len(b.ops), s.stats.ElapsedNS-makespan, makespan, devBefore)
@@ -397,268 +399,128 @@ func (b *Batch) programOps() []program.Op {
 	return ops
 }
 
-// execute runs the functional phase.  Untraced, fault-free, non-ECC batches
-// take the fused whole-program path (executeFused): the entire program
-// collapses into one word-parallel pass per bank, instead of one dispatch per
-// operation.  Otherwise this is a dataflow dispatch over the dependency graph
-// with at most b.Workers concurrent executors.  Each op records its per-row
-// command-train latencies for the timing phase.  Bank atomicity comes from
-// the shared execution engine's per-bank shards — the same locks the
-// direct-op parallel path uses.
-func (b *Batch) execute(g *program.Graph) error {
-	if b.fusedEligible() {
-		return b.executeFused()
-	}
-	if b.sys.fm != nil {
-		// An armed fault model keys its RNG streams per (bank, subarray)
-		// and needs a deterministic train order within each pair.  Direct
-		// ops get that from the engine's ascending-row dispatch; batch
-		// op-level concurrency does not (two independent ops may share a
-		// bank and interleave trains race-dependently), so the functional
-		// phase runs in recording order — a valid topological order,
-		// since dependencies only point backwards.  The timing phase is
-		// unaffected: simulated-time overlap is computed identically.
-		for i := range b.ops {
-			if err := b.execOp(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := b.Workers
-	if workers <= 0 {
-		workers = b.sys.eng.Workers()
-	}
-	sem := make(chan struct{}, workers)
-	indeg := make([]int32, len(b.ops))
-	for i := range b.ops {
-		indeg[i] = int32(len(g.Deps(i)))
-	}
-	var (
-		wg       sync.WaitGroup
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	wg.Add(len(b.ops))
-	var start func(i int)
-	start = func(i int) {
-		go func() {
-			sem <- struct{}{}
-			if !failed.Load() {
-				if err := b.execOp(i); err != nil {
-					failed.Store(true)
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-			<-sem
-			// Release successors before signalling completion so the
-			// WaitGroup never drains with work still unlaunched.
-			for _, succ := range g.Succs(i) {
-				if atomic.AddInt32(&indeg[succ], -1) == 0 {
-					start(succ)
-				}
-			}
-			wg.Done()
-		}()
-	}
-	// Roots are identified from the immutable graph, not the live indeg
-	// counters: a counter an already-running worker drains to zero would
-	// otherwise be started twice (once here, once by that worker).
-	for i := range b.ops {
-		if len(g.Deps(i)) == 0 {
-			start(i)
-		}
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// batchItem is one row-level unit of the flattened fused program: op indexes
-// the recorded operation, row the row within it.  The flat item list is built
-// in recording order, so an item's index is its recording-order position —
-// the deterministic tiebreaker for error merging.
+// batchItem is one row-level unit of the flattened program: op indexes the
+// recorded operation, row the row within it.  The flat item list is built in
+// recording order, so an item's index is its recording-order position — the
+// row index its trace events merge by and the tiebreaker for error merging.
 type batchItem struct {
 	op, row int32
 }
 
-// fusedEligible reports whether the whole program can run as one fused
-// per-bank pass.  Tracing needs per-command events, ECC needs the
-// execute-verify-retry wrapper, and an armed fault model needs the stepwise
-// per-train RNG draws — all of which the fused evaluation elides — so any of
-// them forces the general dataflow path.  Cross-bank copy rows (PSM copies
-// through the channel) touch two banks per train and would break the
-// one-goroutine-per-bank execution invariant, so they disqualify too.
-func (b *Batch) fusedEligible() bool {
-	s := b.sys
-	if s.cfg.Tracer.Enabled() || s.fm != nil || s.cfg.Reliability.ECC {
-		return false
-	}
-	for _, op := range b.ops {
-		if op.kind != batchCopy {
-			continue
-		}
-		for r := range op.dst.rows {
-			if op.a.rows[r].Bank != op.dst.rows[r].Bank {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// executeFused is the batch-level fused functional phase.  The recorded
-// program is flattened into row-level items and partitioned by bank; each
-// bank's slice executes on one goroutine in recording order, which preserves
-// every data dependency: cooperating operands are co-located row-for-row by
-// the allocator (and copy rows are bank-local per fusedEligible), so any two
-// items that touch the same DRAM row land in the same bank's stream, already
-// ordered.  Within a stream, consecutive bulk items with the same opcode
-// coalesce into a single word-parallel fused evaluation — the whole program
-// becomes a handful of fused passes per bank instead of one dispatch per op.
-// Per-row latencies land in rowLats exactly as the stepwise phase records
-// them, so the timing phase (schedule) and all Stats are unchanged.
-func (b *Batch) executeFused() error {
+// execute runs the functional phase.  The program is flattened into
+// row-level items in recording order and partitioned by bank; each bank's
+// items run as one stream, in recording order, on the execution engine
+// (exec.RunPlan).  That preserves every data dependency: cooperating operands
+// are co-located row for row by the allocator, so any two items that touch
+// the same DRAM row land in the same bank's stream, already ordered.  It
+// also gives each (bank, subarray) fault stream the draw order of a serial
+// recording-order run, so faulted batches are deterministic at any worker
+// count.  Per-row latencies (and, under ECC, reliability outcomes) land in
+// rowLats/rowRel for the timing phase.
+//
+// A cross-bank copy row (a PSM copy through the channel) touches two banks
+// in one train, so a program containing one runs all its items as a single
+// recording-order stream on the calling goroutine instead.
+func (b *Batch) execute() error {
 	s := b.sys
 	n := 0
+	crossBank := false
 	for _, op := range b.ops {
 		rows := op.rows()
 		if op.kind != batchPopcount {
 			op.rowLats = make([]float64, rows)
+		}
+		if op.kind == batchBulk && s.cfg.Reliability.ECC {
+			op.rowRel = make([]controller.RowResult, rows)
+		}
+		if op.kind == batchCopy {
+			for r := range op.dst.rows {
+				crossBank = crossBank || op.a.rows[r].Bank != op.dst.rows[r].Bank
+			}
 		}
 		n += rows
 	}
 	items := make([]batchItem, 0, n)
 	addrs := make([]dram.PhysAddr, 0, n)
 	for i, op := range b.ops {
-		switch op.kind {
-		case batchPopcount:
-			for r, a := range op.a.rows {
-				items = append(items, batchItem{int32(i), int32(r)})
-				addrs = append(addrs, a)
-			}
-		case batchFunc:
-			for r, a := range op.dsts[0].rows {
-				items = append(items, batchItem{int32(i), int32(r)})
-				addrs = append(addrs, a)
-			}
-		default:
-			for r, a := range op.dst.rows {
-				items = append(items, batchItem{int32(i), int32(r)})
-				addrs = append(addrs, a)
-			}
+		for r, a := range op.itemRows() {
+			items = append(items, batchItem{int32(i), int32(r)})
+			addrs = append(addrs, a)
 		}
 	}
+	st := &batchStreams{b: b, items: items}
+	if crossBank {
+		idx := make([]int, len(items))
+		for i := range idx {
+			idx[i] = i
+		}
+		return st.RunGroup(-1, idx).Err
+	}
+	// Run holds execMu exclusively, so no other operation touches the
+	// banks and no shard locks are needed; each bank's stream runs on one
+	// goroutine, the ShardSet single-writer rule.
 	plan := s.eng.PlanAddrs(addrs)
 	defer plan.Release()
-	groups := plan.Groups()
-	if len(groups) == 0 {
-		return nil
-	}
-	// Run holds execMu exclusively and each bank's stream runs on exactly one
-	// goroutine, so no shard locks are needed.  Workers caps host
-	// concurrency; errors merge lowest-item-first so the reported failure is
-	// deterministic regardless of interleaving.
-	workers := b.Workers
-	if workers <= 0 {
-		workers = s.eng.Workers()
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	errItems := make([]int, len(groups))
-	errs := make([]error, len(groups))
-	runGroup := func(gi int) {
-		errItems[gi], errs[gi] = b.runFusedGroup(groups[gi].Rows, items)
-	}
-	if workers <= 1 {
-		for gi := range groups {
-			runGroup(gi)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		drain := func() {
-			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				runGroup(gi)
-			}
-		}
-		wg.Add(workers - 1)
-		for k := 0; k < workers-1; k++ {
-			go func() {
-				defer wg.Done()
-				drain()
-			}()
-		}
-		drain()
-		wg.Wait()
-	}
-	var firstErr error
-	firstItem := -1
-	for gi, err := range errs {
-		if err != nil && (firstErr == nil || errItems[gi] < firstItem) {
-			firstErr, firstItem = err, errItems[gi]
-		}
-	}
-	return firstErr
+	st.ss = s.cfg.Tracer.BeginShards(plan.Banks())
+	res := s.eng.RunPlan(plan, st)
+	st.ss.MergeAndEmit()
+	return res.Err
 }
 
-// runFusedGroup executes one bank's slice of the flattened program in
-// recording order.  idx holds indices into items (ascending, i.e. recording
-// order).  On failure it returns the failing item's global index and its
-// error (formatted exactly as the stepwise phase formats it); on success
-// (-1, nil).
-func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
-	s := b.sys
+// batchStreams runs bank streams of one flattened program (exec.GroupRunner).
+// A stream's rows are item indices, ascending (recording order); on failure
+// the group reports the failing item as its ErrRow, so RunPlan's merge
+// returns the lowest failing item's error.
+type batchStreams struct {
+	b     *Batch
+	items []batchItem
+	ss    *obs.ShardSet
+}
+
+// RunGroup executes one stream.  Consecutive bulk items with the same opcode
+// on the same bank coalesce into a single fused word-parallel evaluation.
+func (st *batchStreams) RunGroup(_ int, idx []int) exec.GroupResult {
+	s := st.b.sys
 	k := 0
 	for k < len(idx) {
-		it := items[idx[k]]
-		op := b.ops[it.op]
-		switch op.kind {
-		case batchBulk:
-			// Coalesce the maximal run of consecutive bulk items with the
-			// same opcode into one fused evaluation.
+		it := st.items[idx[k]]
+		op := st.b.ops[it.op]
+		if op.kind == batchBulk {
+			bank := op.dst.rows[it.row].Bank
 			j := k + 1
 			for j < len(idx) {
-				nx := b.ops[items[idx[j]].op]
-				if nx.kind != batchBulk || nx.op != op.op {
+				nx := st.items[idx[j]]
+				nop := st.b.ops[nx.op]
+				if nop.kind != batchBulk || nop.op != op.op || nop.dst.rows[nx.row].Bank != bank {
 					break
 				}
 				j++
 			}
-			if item, err := b.runFusedBulkRun(idx[k:j], items); err != nil {
-				return item, err
+			if item, err := st.runBulk(bank, idx[k:j]); err != nil {
+				return exec.GroupResult{Err: err, ErrRow: item}
 			}
 			k = j
+			continue
+		}
+		var lat float64
+		var err error
+		switch op.kind {
 		case batchCopy:
-			_, lat, err := s.rc.Copy(op.a.rows[it.row], op.dst.rows[it.row])
-			if err != nil {
-				return idx[k], fmt.Errorf("ambit: batch Copy row %d: %w", it.row, err)
+			st.ss.SetRow(op.dst.rows[it.row].Bank, idx[k])
+			if _, lat, err = s.rc.Copy(op.a.rows[it.row], op.dst.rows[it.row]); err != nil {
+				err = fmt.Errorf("ambit: batch Copy row %d: %w", it.row, err)
 			}
-			op.rowLats[it.row] = lat
-			k++
 		case batchFill:
 			addr := op.dst.rows[it.row]
-			var lat float64
-			var err error
+			st.ss.SetRow(addr.Bank, idx[k])
 			if op.fillBit {
 				lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
 			} else {
 				lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
 			}
 			if err != nil {
-				return idx[k], fmt.Errorf("ambit: batch Fill row %d: %w", it.row, err)
+				err = fmt.Errorf("ambit: batch Fill row %d: %w", it.row, err)
 			}
-			op.rowLats[it.row] = lat
-			k++
 		case batchFunc:
 			bp := rowAddrPool.Get().(*[]dram.RowAddr)
 			buf := *bp
@@ -668,169 +530,89 @@ func (b *Batch) runFusedGroup(idx []int, items []batchItem) (int, error) {
 			}
 			buf = buf[:nOps]
 			da := fillFuncRow(op.fn, op.dsts, op.srcs, int(it.row), buf)
-			lat, err := s.ctrl.ExecuteTrain(op.fn.c.Train, da.Bank, da.Subarray, buf)
+			st.ss.SetRow(da.Bank, idx[k])
+			if lat, err = s.ctrl.ExecuteTrain(op.fn.c.Train, da.Bank, da.Subarray, buf); err != nil {
+				err = fmt.Errorf("ambit: batch func %s row %d: %w", op.fn.name, it.row, err)
+			}
 			*bp = buf[:0]
 			rowAddrPool.Put(bp)
-			if err != nil {
-				return idx[k], fmt.Errorf("ambit: batch func %s row %d: %w", op.fn.name, it.row, err)
-			}
-			op.rowLats[it.row] = lat
-			k++
 		case batchPopcount:
-			pc, err := s.dev.PopcountRow(op.a.rows[it.row])
-			if err != nil {
-				return idx[k], fmt.Errorf("ambit: batch Popcount row %d: %w", it.row, err)
+			var pc int64
+			if pc, err = s.dev.PopcountRow(op.a.rows[it.row]); err != nil {
+				err = fmt.Errorf("ambit: batch Popcount row %d: %w", it.row, err)
 			}
 			atomic.AddInt64(&op.result.n, pc)
-			k++
 		}
+		if err != nil {
+			return exec.GroupResult{Err: err, ErrRow: idx[k]}
+		}
+		if op.rowLats != nil {
+			op.rowLats[it.row] = lat
+		}
+		k++
 	}
-	return -1, nil
+	return exec.GroupResult{ErrRow: -1}
 }
 
-// runFusedBulkRun executes a run of same-opcode bulk items — one fused
-// word-parallel pass over all of their trains, with the stepwise per-row
-// controller call as the exact-semantics fallback when the fused dispatch
-// rejects the run (raised amplifiers, an armed per-subarray injector).
-func (b *Batch) runFusedBulkRun(idx []int, items []batchItem) (int, error) {
-	s := b.sys
-	op0 := b.ops[items[idx[0]].op].op
+// runBulk executes a run of same-opcode bulk items on one bank: one fused
+// word-parallel pass over all of their trains, or — under ECC, and whenever
+// the fused dispatch declines the run (tracing, an armed fault injector,
+// raised amplifiers) — the per-row controller call.  On failure it returns
+// the failing item's index.
+func (st *batchStreams) runBulk(bank int, idx []int) (int, error) {
+	s := st.b.sys
+	op0 := st.b.ops[st.items[idx[0]].op].op
 	unary := op0.Unary()
-	tp := trainPool.Get().(*[]controller.RowTrain)
-	trains := (*tp)[:0]
-	bank := -1
-	for _, ii := range idx {
-		it := items[ii]
-		op := b.ops[it.op]
-		da := op.dst.rows[it.row]
-		bank = da.Bank
-		t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: op.a.rows[it.row].Row}
-		if !unary {
-			t.DJ = op.b.rows[it.row].Row
-		}
-		trains = append(trains, t)
-	}
-	lat, ok := s.ctrl.ExecuteOpRowsFused(op0, bank, trains)
-	*tp = trains[:0]
-	trainPool.Put(tp)
-	if ok {
+	ecc := s.cfg.Reliability.ECC
+	if !ecc {
+		tp := trainPool.Get().(*[]controller.RowTrain)
+		trains := (*tp)[:0]
 		for _, ii := range idx {
-			it := items[ii]
-			b.ops[it.op].rowLats[it.row] = lat
+			it := st.items[ii]
+			op := st.b.ops[it.op]
+			da := op.dst.rows[it.row]
+			t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: op.a.rows[it.row].Row}
+			if !unary {
+				t.DJ = op.b.rows[it.row].Row
+			}
+			trains = append(trains, t)
 		}
-		return -1, nil
+		lat, ok := s.ctrl.ExecuteOpRowsFused(op0, bank, trains)
+		*tp = trains[:0]
+		trainPool.Put(tp)
+		if ok {
+			for _, ii := range idx {
+				it := st.items[ii]
+				st.b.ops[it.op].rowLats[it.row] = lat
+			}
+			return -1, nil
+		}
 	}
 	for _, ii := range idx {
-		it := items[ii]
-		op := b.ops[it.op]
+		st.ss.SetRow(bank, ii)
+		it := st.items[ii]
+		op := st.b.ops[it.op]
 		da, aa := op.dst.rows[it.row], op.a.rows[it.row]
 		var ba dram.RowAddr
 		if !unary {
 			ba = op.b.rows[it.row].Row
 		}
-		lat, err := s.ctrl.ExecuteOp(op.op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
+		var lat float64
+		var err error
+		if ecc {
+			var rr controller.RowResult
+			rr, err = s.execRowReliable(op.op, da, aa.Row, ba)
+			op.rowRel[it.row] = rr
+			lat = rr.LatencyNS
+		} else {
+			lat, err = s.ctrl.ExecuteOp(op.op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
+		}
 		if err != nil {
 			return ii, fmt.Errorf("ambit: batch %v row %d: %w", op.op, it.row, err)
 		}
 		op.rowLats[it.row] = lat
 	}
 	return -1, nil
-}
-
-// execOp functionally executes op i, holding the relevant bank shard for each
-// row-level command train so concurrent ops interleave only at train
-// boundaries (a train is self-contained: it stages operands into the B-group
-// rows, operates, and copies out before releasing the bank).
-func (b *Batch) execOp(i int) error {
-	op := b.ops[i]
-	s := b.sys
-	eng := s.eng
-	switch op.kind {
-	case batchBulk:
-		op.rowLats = make([]float64, len(op.dst.rows))
-		if s.cfg.Reliability.ECC {
-			op.rowRel = make([]controller.RowResult, len(op.dst.rows))
-		}
-		for r := range op.dst.rows {
-			da, aa := op.dst.rows[r], op.a.rows[r]
-			var ba dram.RowAddr
-			if !op.op.Unary() {
-				ba = op.b.rows[r].Row
-			}
-			var lat float64
-			var err error
-			eng.LockBank(da.Bank)
-			if op.rowRel != nil {
-				var rr controller.RowResult
-				rr, err = s.execRowReliable(op.op, da, aa.Row, ba)
-				op.rowRel[r] = rr
-				lat = rr.LatencyNS
-			} else {
-				lat, err = s.ctrl.ExecuteOp(op.op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
-			}
-			eng.UnlockBank(da.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch %v row %d: %w", op.op, r, err)
-			}
-			op.rowLats[r] = lat
-		}
-	case batchCopy:
-		op.rowLats = make([]float64, len(op.dst.rows))
-		for r := range op.dst.rows {
-			src, dst := op.a.rows[r], op.dst.rows[r]
-			eng.LockPair(src.Bank, dst.Bank)
-			_, lat, err := s.rc.Copy(src, dst)
-			eng.UnlockPair(src.Bank, dst.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch Copy row %d: %w", r, err)
-			}
-			op.rowLats[r] = lat
-		}
-	case batchFill:
-		op.rowLats = make([]float64, len(op.dst.rows))
-		for r, addr := range op.dst.rows {
-			var lat float64
-			var err error
-			eng.LockBank(addr.Bank)
-			if op.fillBit {
-				lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
-			} else {
-				lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
-			}
-			eng.UnlockBank(addr.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch Fill row %d: %w", r, err)
-			}
-			op.rowLats[r] = lat
-		}
-	case batchFunc:
-		n := len(op.dsts[0].rows)
-		op.rowLats = make([]float64, n)
-		buf := make([]dram.RowAddr, op.fn.c.NumInputs+op.fn.c.NumOutputs)
-		for r := 0; r < n; r++ {
-			da := fillFuncRow(op.fn, op.dsts, op.srcs, r, buf)
-			eng.LockBank(da.Bank)
-			lat, err := s.ctrl.ExecuteTrain(op.fn.c.Train, da.Bank, da.Subarray, buf)
-			eng.UnlockBank(da.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch func %s row %d: %w", op.fn.name, r, err)
-			}
-			op.rowLats[r] = lat
-		}
-	case batchPopcount:
-		var n int64
-		for r, addr := range op.a.rows {
-			eng.LockBank(addr.Bank)
-			pc, err := s.dev.PopcountRow(addr)
-			eng.UnlockBank(addr.Bank)
-			if err != nil {
-				return fmt.Errorf("ambit: batch Popcount row %d: %w", r, err)
-			}
-			n += pc
-		}
-		op.result.n = n
-	}
-	return nil
 }
 
 // schedule runs the deterministic timing phase and returns the makespan.
@@ -907,7 +689,7 @@ func (b *Batch) schedule(g *program.Graph) float64 {
 		// op's placement on the simulated timeline is known (the functional
 		// phase runs concurrently and has no meaningful clock).  Energy is
 		// attributed to the enclosing batch span, not per op: device
-		// counters advance interleaved across the worker pool.
+		// counters advance interleaved across the bank streams.
 		if observing {
 			name := op.metricName()
 			if m := s.cfg.Metrics; m != nil {

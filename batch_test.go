@@ -259,8 +259,8 @@ func TestBatchTimingDeterministic(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		s := smallSystem(t)
 		n := rowBits(s)
+		s.eng.SetWorkers(workers)
 		b := s.NewBatch()
-		b.Workers = workers
 		var prev *Bitvector
 		for i := 0; i < 6; i++ {
 			a := s.MustAlloc(n)

@@ -544,7 +544,7 @@ func BenchmarkWAHTradeoff(b *testing.B) {
 // XORs spread across the device with AllocAt, so each operation occupies a
 // different bank.  Sequential issue serializes them on the global clock;
 // the batch overlaps them on per-bank timelines (simulated makespan) and
-// fans the functional simulation across a worker pool (wall-clock).  The
+// runs the functional simulation as parallel per-bank streams (wall-clock).  The
 // reported simulated_gain_x is the headline number: it approaches the bank
 // count when the groups spread evenly.
 func BenchmarkBatchVsSequential(b *testing.B) {

@@ -429,24 +429,6 @@ func (v *Bitvector) peek() ([]uint64, error) {
 	return out, nil
 }
 
-// Load installs data through the simulation backdoor, free of simulated
-// cost, zero-filling the unset tail.
-//
-// Deprecated: Load is Write with the Backdoor option; use
-// v.Write(words, ambit.Backdoor()).
-func (v *Bitvector) Load(words []uint64) error {
-	return v.Write(words, Backdoor())
-}
-
-// Peek returns the vector's content through the simulation backdoor, free of
-// simulated cost.
-//
-// Deprecated: Peek is Read with the Backdoor option; use
-// v.Read(ambit.Backdoor()).
-func (v *Bitvector) Peek() ([]uint64, error) {
-	return v.Read(Backdoor())
-}
-
 // Bit returns bit i (backdoor, cost-free).
 func (v *Bitvector) Bit(i int64) (bool, error) {
 	v.sys.execMu.Lock()

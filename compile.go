@@ -182,7 +182,16 @@ func (s *System) runMultiTagged(tag Tag, f *Func, dsts []*Bitvector, srcs []*Bit
 	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
-	return s.runFuncParallel(tag, f, dsts, srcs)
+	if err := s.checkFuncOperands(f, dsts, srcs); err != nil {
+		return err
+	}
+	// The runner keeps its own copies of the operand lists, so Run's
+	// one-element destination list and variadic sources stay on the stack.
+	run := getOpRunner(s, runFunc, tag)
+	run.f = f
+	run.dsts = append(run.dsts, dsts...)
+	run.srcs = append(run.srcs, srcs...)
+	return s.dispatch(run, dsts[0].rows, int64(len(dsts[0].rows))*int64(f.c.NumInputs))
 }
 
 // checkFuncOperands validates operand liveness, shape, and aliasing for one
@@ -282,65 +291,6 @@ func (s *System) runFuncSerial(tag Tag, f *Func, dsts, srcs []*Bitvector) error 
 	s.stats.ElapsedNS = end
 	s.stats.FuncOps++
 	s.stats.RowOps += int64(nRows)
-	if observing {
-		s.observeOp(tag, "func:"+f.name, -1, nRows, opStart, end-opStart, devBefore)
-	}
-	return nil
-}
-
-// runFuncParallel is the sharded fast path: rows grouped by bank, per-bank
-// trains on the worker pool, deterministic merge — mirroring applyParallel.
-// One operand buffer per bank keeps the scheduling path allocation-free.
-// The caller holds execMu for reading.
-func (s *System) runFuncParallel(tag Tag, f *Func, dsts, srcs []*Bitvector) error {
-	if err := s.checkFuncOperands(f, dsts, srcs); err != nil {
-		return err
-	}
-	nRows := len(dsts[0].rows)
-	rows := int64(nRows) * int64(f.c.NumInputs)
-	observing := s.observing()
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(rows)
-	s.statsMu.Unlock()
-
-	plan := s.eng.PlanAddrs(dsts[0].rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	// The runner keeps its own copies of the operand lists, so Run's
-	// one-element destination list and variadic sources stay on the stack.
-	run.kind, run.f = runFunc, f
-	run.dsts = append(run.dsts, dsts...)
-	run.srcs = append(run.srcs, srcs...)
-	run.start, run.ss, run.tag = start, ss, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.RowOps += int64(res.Completed)
-	if res.Err == nil {
-		s.stats.FuncOps++
-	}
-	s.statsMu.Unlock()
-	if res.Err != nil {
-		return fmt.Errorf("ambit: func %s row %d: %w", f.name, res.ErrRow, res.Err)
-	}
 	if observing {
 		s.observeOp(tag, "func:"+f.name, -1, nRows, opStart, end-opStart, devBefore)
 	}

@@ -1,7 +1,8 @@
 // Package exec is the shared execution core for bulk operations: it groups an
-// operation's rows by bank, runs the per-bank command trains on a bounded
-// worker pool, and merges per-bank completion times deterministically.  Both
-// the direct-op path (System.Apply) and the batch engine dispatch through it.
+// operation's rows by bank (PlanAddrs), runs each bank's group on a bounded
+// worker pool (RunPlan), and merges per-bank outcomes deterministically.  The
+// direct operations (System.Apply, Copy, Fill, Func.Run, Maj) and Batch.Run
+// all execute through it.
 //
 // Banks are independent in Ambit (Section 7: bank-level parallelism is where
 // the 32x/35x throughput headline comes from), so trains on different banks
@@ -10,7 +11,7 @@
 //
 // Invariants the rest of the stack relies on:
 //
-//   - Determinism: Run visits each bank's rows in index order on one
+//   - Determinism: RunPlan visits each bank's rows in index order on one
 //     goroutine, and Result (completion time, completed count, first error)
 //     is a pure fold over per-bank outcomes — the same inputs produce the
 //     same Result regardless of worker interleaving.  Parallel execution is
@@ -24,9 +25,7 @@ package exec
 
 import (
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Engine owns the per-bank execution shards and the worker pool bound.
@@ -56,37 +55,8 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers = n
 }
 
-// LockBank locks one bank's execution shard.
-func (e *Engine) LockBank(b int) { e.shards[b].Lock() }
-
-// UnlockBank unlocks one bank's execution shard.
-func (e *Engine) UnlockBank(b int) { e.shards[b].Unlock() }
-
-// LockPair locks the shards of two banks in ascending order (they may be
-// equal), the deadlock-free discipline for two-operand trains.
-func (e *Engine) LockPair(x, y int) {
-	if x > y {
-		x, y = y, x
-	}
-	e.shards[x].Lock()
-	if y != x {
-		e.shards[y].Lock()
-	}
-}
-
-// UnlockPair releases a LockPair.
-func (e *Engine) UnlockPair(x, y int) {
-	if x > y {
-		x, y = y, x
-	}
-	if y != x {
-		e.shards[y].Unlock()
-	}
-	e.shards[x].Unlock()
-}
-
 // LockBanks locks a set of bank shards in ascending order.  The slice must be
-// sorted ascending and duplicate-free (GroupByBank returns such a set).
+// sorted ascending and duplicate-free (Plan.Banks returns such a set).
 func (e *Engine) LockBanks(banks []int) {
 	for _, b := range banks {
 		e.shards[b].Lock()
@@ -100,58 +70,15 @@ func (e *Engine) UnlockBanks(banks []int) {
 	}
 }
 
-// Group is the work of one operation on one bank: the operand row indices
-// (positions within the bitvector, not DRAM rows) that live there.
+// Group is the work of one operation on one bank: the row indices
+// (positions in the address list the plan was built from, not DRAM rows)
+// that live there.
 type Group struct {
 	Bank int
 	Rows []int
 }
 
-// GroupByBank partitions row indices 0..rows-1 by the bank each maps to,
-// returning groups in ascending bank order with rows in ascending index
-// order — the iteration order the sequential path uses, which keeps per-bank
-// Reserve chains (and therefore all timing stats) bit-identical.
-func GroupByBank(rows int, bankOf func(i int) int) []Group {
-	if rows <= 0 {
-		return nil
-	}
-	// Count-sort by bank: one pass to count, one to fill.
-	counts := map[int]int{}
-	for i := 0; i < rows; i++ {
-		counts[bankOf(i)]++
-	}
-	banks := make([]int, 0, len(counts))
-	for b := range counts {
-		banks = append(banks, b)
-	}
-	sort.Ints(banks)
-	groups := make([]Group, len(banks))
-	idx := make(map[int]int, len(banks))
-	for gi, b := range banks {
-		groups[gi] = Group{Bank: b, Rows: make([]int, 0, counts[b])}
-		idx[b] = gi
-	}
-	for i := 0; i < rows; i++ {
-		gi := idx[bankOf(i)]
-		groups[gi].Rows = append(groups[gi].Rows, i)
-	}
-	return groups
-}
-
-// Banks returns the ascending bank set of a group list.
-func Banks(groups []Group) []int {
-	out := make([]int, len(groups))
-	for i, g := range groups {
-		out[i] = g.Bank
-	}
-	return out
-}
-
-// RowFunc executes one row's command train on its bank and returns the
-// train's completion time on the simulated clock.
-type RowFunc func(bank, row int) (endNS float64, err error)
-
-// Result is the deterministic merge of a Run.
+// Result is the deterministic merge of a RunPlan.
 type Result struct {
 	// EndNS is the operation's completion time: the max of every
 	// completed train's end time (0 when no row completed).
@@ -165,81 +92,4 @@ type Result struct {
 	Err error
 	// ErrRow is the row index Err occurred on, -1 on success.
 	ErrRow int
-}
-
-// Run executes every group's rows — ascending within a group, groups
-// concurrently on min(Workers, len(groups)) goroutines — and merges the
-// outcome.  The caller must already hold the groups' bank shards (LockBanks):
-// the pool partitions work by whole groups, so no two goroutines touch the
-// same bank.
-//
-// The merge is order-independent: per-group results land in pre-sized slots
-// and are folded after all workers finish, so a parallel Run returns exactly
-// what a sequential one does.
-func (e *Engine) Run(groups []Group, fn RowFunc) Result {
-	res := Result{ErrRow: -1}
-	if len(groups) == 0 {
-		return res
-	}
-	type groupResult struct {
-		endNS     float64
-		completed int
-		err       error
-		errRow    int
-	}
-	results := make([]groupResult, len(groups))
-	runGroup := func(gi int) {
-		g := groups[gi]
-		r := groupResult{errRow: -1}
-		for _, row := range g.Rows {
-			end, err := fn(g.Bank, row)
-			if err != nil {
-				r.err, r.errRow = err, row
-				break
-			}
-			r.completed++
-			if end > r.endNS {
-				r.endNS = end
-			}
-		}
-		results[gi] = r
-	}
-
-	if w := min(e.workers, len(groups)); w <= 1 {
-		for gi := range groups {
-			runGroup(gi)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		work := func() {
-			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				runGroup(gi)
-			}
-		}
-		wg.Add(w - 1)
-		for i := 0; i < w-1; i++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work() // the caller participates
-		wg.Wait()
-	}
-
-	for _, r := range results {
-		if r.endNS > res.EndNS {
-			res.EndNS = r.endNS
-		}
-		res.Completed += r.completed
-		if r.err != nil && (res.Err == nil || r.errRow < res.ErrRow) {
-			res.Err, res.ErrRow = r.err, r.errRow
-		}
-	}
-	return res
 }

@@ -1,12 +1,10 @@
 package exec
 
-// Zero-allocation plan/runner dispatch.  Run + GroupByBank (exec.go) remain
-// the closure-based API; the hot direct-op path uses PlanAddrs + RunPlan
-// instead:
+// Zero-allocation plan/runner dispatch:
 //
 //   - A Plan is a pooled, pre-partitioned view of one operation's rows
-//     grouped by bank (the same count-sort as GroupByBank, but into recycled
-//     backing arrays — no per-operation allocation in steady state).
+//     grouped by bank (a count-sort into recycled backing arrays — no
+//     per-operation allocation in steady state).
 //   - A GroupRunner executes one whole bank group at a time, which lets
 //     callers batch all of a bank's rows into a single fused evaluation
 //     (see controller.ExecuteOpRowsFused) instead of row-at-a-time calls.
@@ -15,9 +13,9 @@ package exec
 //     than max(NumCPU, GOMAXPROCS)); enqueueing work is a channel send, so
 //     the steady-state parallel dispatch allocates nothing either.
 //
-// Determinism and prefix semantics are identical to Run: each group runs on
-// one goroutine with rows in ascending index order, results land in
-// pre-sized slots, and the fold picks the lowest-indexed failing row.
+// Each group runs on one goroutine with rows in ascending index order,
+// results land in pre-sized slots, and the fold picks the lowest-indexed
+// failing row.
 
 import (
 	"runtime"
@@ -113,10 +111,6 @@ func (e *Engine) PlanAddrs(addrs []dram.PhysAddr) *Plan {
 	return p
 }
 
-// Groups returns the plan's bank groups (ascending bank order).  The slices
-// are owned by the plan and invalid after Release.
-func (p *Plan) Groups() []Group { return p.groups }
-
 // Banks returns the plan's ascending, duplicate-free bank set, in the form
 // LockBanks expects.  The slice is owned by the plan.
 func (p *Plan) Banks() []int { return p.banks }
@@ -132,8 +126,12 @@ func (p *Plan) Release() {
 
 // RunPlan executes every group of the plan through r — rows ascending within
 // a group, groups concurrently on up to min(Workers, len(groups)) goroutines
-// from the shared worker pool — and merges the outcome exactly like Run.
-// The caller must already hold the plan's bank shards (LockBanks(p.Banks())).
+// from the shared worker pool — and merges the outcome: the latest EndNS,
+// the total Completed, and the error of the lowest failing row.  The plan
+// partitions work by whole groups, so no two goroutines touch the same bank;
+// the caller must keep every other user off the plan's banks for the call,
+// by holding their shards (LockBanks(p.Banks())) or exclusive access to the
+// device.
 func (e *Engine) RunPlan(p *Plan, r GroupRunner) Result {
 	res := Result{ErrRow: -1}
 	if len(p.groups) == 0 {

@@ -22,10 +22,12 @@ package obs
 //	eng.UnlockBanks(banks)
 //
 // BeginShards must be called while the banks' execution shard locks are held
-// and MergeAndEmit before they are released; that is what guarantees the
-// single-writer-per-shard rule and keeps concurrent ShardSets (operations on
-// disjoint banks) from ever sharing a bank.  MergeAndEmit recycles the set:
-// the ShardSet must not be used again after it returns.
+// and MergeAndEmit before they are released (or, as Batch.Run does, while
+// the caller excludes every other operation from the device); that is what
+// guarantees the single-writer-per-shard rule and keeps concurrent
+// ShardSets (operations on disjoint banks) from ever sharing a bank.
+// MergeAndEmit recycles the set: the ShardSet must not be used again after
+// it returns.
 
 import "sort"
 

@@ -19,10 +19,12 @@
 //
 // The resulting Graph is a DAG whose edges always point from a lower op
 // index to a higher one (program order), so iterating ops in index order is
-// a valid topological order.  The batch dispatcher in the root package uses
-// the graph twice: once to fan the host-side functional simulation out
-// across a goroutine worker pool, and once to compute the deterministic
-// per-bank timeline schedule.
+// a valid topological order.  The root package's Batch uses the graph to
+// compute the deterministic per-bank timeline schedule and the program's
+// dependency depth (Waves); its functional phase needs no graph, because
+// running each bank's rows in recording order already respects every
+// dependency between co-located rows.  The compiler's liveness pass
+// (internal/compile) walks the same graph.
 package program
 
 import "ambit/internal/dram"
@@ -123,16 +125,6 @@ func (g *Graph) Waves() int {
 		return 0
 	}
 	return g.waves
-}
-
-// Indegrees returns a fresh slice of per-op dependency counts, the working
-// state a dataflow dispatcher decrements as ops complete.
-func (g *Graph) Indegrees() []int {
-	in := make([]int, len(g.deps))
-	for i, d := range g.deps {
-		in[i] = len(d)
-	}
-	return in
 }
 
 // sortInts is an insertion sort: dep lists are tiny and this keeps the

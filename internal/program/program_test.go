@@ -118,27 +118,6 @@ func TestWriteClearsReaderSet(t *testing.T) {
 	}
 }
 
-func TestIndegreesMatchDeps(t *testing.T) {
-	x, y := row(0, 0), row(0, 1)
-	ops := []Op{
-		{Writes: []dram.PhysAddr{x}},
-		{Writes: []dram.PhysAddr{y}},
-		{Reads: []dram.PhysAddr{x, y}, Writes: []dram.PhysAddr{row(0, 2)}},
-	}
-	g := Build(ops)
-	in := g.Indegrees()
-	want := []int{0, 0, 2}
-	if !reflect.DeepEqual(in, want) {
-		t.Errorf("Indegrees = %v, want %v", in, want)
-	}
-	// The returned slice is working state: mutating it must not affect
-	// the graph.
-	in[2] = 0
-	if len(g.Deps(2)) != 2 {
-		t.Error("Indegrees aliases graph state")
-	}
-}
-
 func TestLevelsFormSchedulableWaves(t *testing.T) {
 	// Diamond: op0 -> {op1, op2} -> op3.
 	x, y, z := row(0, 0), row(0, 1), row(0, 2)

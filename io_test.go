@@ -190,44 +190,3 @@ func TestReadIntoAllocFree(t *testing.T) {
 		t.Fatalf("ReadInto allocates %.1f times per call, want 0", allocs)
 	}
 }
-
-// TestDeprecatedWrappers pins Load/Peek to their documented equivalents.
-func TestDeprecatedWrappers(t *testing.T) {
-	sys, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := sys.Alloc(int64(sys.RowSizeBits()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]uint64, v.WordCount())
-	for i := range data {
-		data[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	if err := v.Load(data); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Stats().ChannelBytes; got != 0 {
-		t.Fatalf("Load charged %d channel bytes, want 0 (backdoor semantics)", got)
-	}
-	got, err := v.Peek()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := v.Read(Backdoor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Peek returned %d words, Read %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] || got[i] != data[i] {
-			t.Fatalf("word %d: Peek %#x, Read %#x, want %#x", i, got[i], want[i], data[i])
-		}
-	}
-	if got := sys.Stats().ChannelBytes; got != 0 {
-		t.Fatalf("Peek charged %d channel bytes, want 0 (backdoor semantics)", got)
-	}
-}

@@ -44,7 +44,13 @@ func (s *System) majTagged(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
 	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
-	return s.majParallel(tag, dst, srcs)
+	if err := s.checkMajOperands(dst, srcs); err != nil {
+		return err
+	}
+	run := getOpRunner(s, runMaj, tag)
+	run.dst = dst
+	run.srcs = append(run.srcs, srcs...)
+	return s.dispatch(run, dst.rows, int64(len(dst.rows))*int64(len(srcs)+1))
 }
 
 // majFaultsBefore snapshots the fault model's many-row injection counters
@@ -140,64 +146,6 @@ func (s *System) majSerial(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
 	s.stats.RowOps += int64(len(dst.rows))
 	if fmAttr {
 		s.majFaultsCommit(tag, fmEvents, fmBits)
-	}
-	if observing {
-		s.observeOp(tag, "maj", -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
-}
-
-// majParallel is the sharded fast path, mirroring applyParallel: rows
-// grouped by bank, per-bank trains on the worker pool, deterministic merge.
-// The caller holds execMu for reading.
-func (s *System) majParallel(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
-	if err := s.checkMajOperands(dst, srcs); err != nil {
-		return err
-	}
-	rows := int64(len(dst.rows)) * int64(len(srcs)+1)
-	observing := s.observing()
-	fmEvents, fmBits, fmAttr := s.majFaultsBefore(tag)
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(rows)
-	s.statsMu.Unlock()
-
-	plan := s.eng.PlanAddrs(dst.rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.dst = runMaj, dst
-	run.srcs = append(run.srcs, srcs...)
-	run.start, run.ss, run.tag = start, ss, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start // every row failed; the coherence flush still happened
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.RowOps += int64(res.Completed)
-	if res.Err == nil {
-		s.stats.MajOps++
-	}
-	s.statsMu.Unlock()
-	if fmAttr {
-		s.majFaultsCommit(tag, fmEvents, fmBits)
-	}
-	if res.Err != nil {
-		return fmt.Errorf("ambit: Maj row %d: %w", res.ErrRow, res.Err)
 	}
 	if observing {
 		s.observeOp(tag, "maj", -1, len(dst.rows), opStart, end-opStart, devBefore)

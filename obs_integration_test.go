@@ -114,7 +114,7 @@ func TestMetricsMatchStats(t *testing.T) {
 // TestMetricsMatchStatsBatch is the batch-engine variant of the invariant:
 // per-op latency observations are recorded per scheduled op, the "batch"
 // span carries the makespan, and the batch's device energy lands on the
-// "batch" label (per-op energy is not separable across the worker pool).
+// "batch" label (per-op energy is not separable across the bank streams).
 func TestMetricsMatchStatsBatch(t *testing.T) {
 	reg := NewMetrics()
 	sys, err := New(WithMetrics(reg))

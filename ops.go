@@ -92,7 +92,12 @@ func (s *System) applyTagged(tag Tag, op controller.Op, dst, a, b *Bitvector) er
 	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
-	return s.applyParallel(tag, op, dst, a, b)
+	if err := s.checkApplyOperands(op, dst, a, b); err != nil {
+		return err
+	}
+	run := getOpRunner(s, runBulk, tag)
+	run.op, run.dst, run.a, run.b, run.ecc = op, dst, a, b, s.cfg.Reliability.ECC
+	return s.dispatch(run, dst.rows, int64(len(dst.rows))*int64(op.InputRows()))
 }
 
 // applySerial is the exclusive-lock path: the forceSerial test hook and the
@@ -179,71 +184,6 @@ func (s *System) scheduleRow(tag Tag, op controller.Op, da dram.PhysAddr, aRow, 
 	done := s.dev.Bank(da.Bank).Reserve(start, lat)
 	s.utilRecord(tag, da.Bank, done, lat)
 	return done, nil
-}
-
-// applyParallel is the sharded fast path: rows grouped by bank, per-bank
-// command trains on the worker pool, deterministic merge.  The caller holds
-// execMu for reading.  Observability rides along losslessly: command events
-// are captured into per-bank shards and merged into serial emission order
-// after the barrier (obs.ShardSet), metrics go to the atomic registry, and
-// the op span is emitted after the merge — a single-client traced run is
-// byte-identical to the serial path.
-func (s *System) applyParallel(tag Tag, op controller.Op, dst, a, b *Bitvector) error {
-	if err := s.checkApplyOperands(op, dst, a, b); err != nil {
-		return err
-	}
-	rows := int64(len(dst.rows)) * int64(op.InputRows())
-	observing := s.observing()
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(rows)
-	s.statsMu.Unlock()
-
-	plan := s.eng.PlanAddrs(dst.rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.op, run.dst, run.a, run.b = runBulk, op, dst, a, b
-	run.start, run.ss, run.ecc, run.tag = start, ss, s.cfg.Reliability.ECC, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start // every row failed; the coherence flush still happened
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.RowOps += int64(res.Completed)
-	if res.Err == nil {
-		s.stats.BulkOps[op]++
-	} else if errors.Is(res.Err, ErrUncorrectable) {
-		s.stats.UncorrectableRows++
-		if m := s.cfg.Metrics; m != nil {
-			m.Add("uncorrectable_rows", 1)
-		}
-		s.addLabeledNS(tag, "uncorrectable_rows", 1)
-	}
-	s.statsMu.Unlock()
-	if res.Err != nil {
-		// Per-bank prefix semantics: the failing bank stops at its failing
-		// row; other banks complete their rows (they are independent).
-		return fmt.Errorf("ambit: %v row %d: %w", op, res.ErrRow, res.Err)
-	}
-	if observing {
-		s.observeOp(tag, op.String(), -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
 }
 
 // execRowReliable runs one row-level command train under the TMR
@@ -346,46 +286,9 @@ func (s *System) copyTagged(tag Tag, dst, src *Bitvector) error {
 		}
 	}
 	defer s.execMu.RUnlock()
-
-	observing := s.observing()
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(2*int64(len(dst.rows)))
-	s.statsMu.Unlock()
-	plan := s.eng.PlanAddrs(dst.rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.dst, run.a = runCopy, dst, src
-	run.start, run.ss, run.tag = start, ss, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.Copies += int64(res.Completed)
-	s.statsMu.Unlock()
-	if res.Err != nil {
-		return fmt.Errorf("ambit: Copy row %d: %w", res.ErrRow, res.Err)
-	}
-	if observing {
-		s.observeOp(tag, "copy", -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
+	run := getOpRunner(s, runCopy, tag)
+	run.dst, run.a = dst, src
+	return s.dispatch(run, dst.rows, 2*int64(len(dst.rows)))
 }
 
 // copySerial is Copy's exclusive-lock path; the caller holds execMu.
@@ -447,45 +350,9 @@ func (s *System) fillTagged(tag Tag, v *Bitvector, bit bool) error {
 	if err := s.checkOperands("Fill", v); err != nil {
 		return err
 	}
-	observing := s.observing()
-	var devBefore dram.Stats
-	s.statsMu.Lock()
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(int64(len(v.rows)))
-	s.statsMu.Unlock()
-	plan := s.eng.PlanAddrs(v.rows)
-	banks := plan.Banks()
-	s.eng.LockBanks(banks)
-	ss := s.cfg.Tracer.BeginShards(banks)
-	run := getOpRunner(s)
-	run.kind, run.dst, run.fill = runFill, v, bit
-	run.start, run.ss, run.tag = start, ss, tag
-	res := s.eng.RunPlan(plan, run)
-	putOpRunner(run)
-	ss.MergeAndEmit()
-	s.eng.UnlockBanks(banks)
-	plan.Release()
-
-	end := res.EndNS
-	if end < start {
-		end = start
-	}
-	s.statsMu.Lock()
-	if end > s.stats.ElapsedNS {
-		s.stats.ElapsedNS = end
-	}
-	s.stats.Copies += int64(res.Completed)
-	s.statsMu.Unlock()
-	if res.Err != nil {
-		return fmt.Errorf("ambit: Fill: %w", res.Err)
-	}
-	if observing {
-		s.observeOp(tag, "fill", -1, len(v.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
+	run := getOpRunner(s, runFill, tag)
+	run.dst, run.fill = v, bit
+	return s.dispatch(run, v.rows, int64(len(v.rows)))
 }
 
 // fillSerial is Fill's exclusive-lock path; the caller holds execMu.

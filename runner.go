@@ -1,6 +1,8 @@
 package ambit
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"ambit/internal/controller"
@@ -9,13 +11,13 @@ import (
 	"ambit/internal/obs"
 )
 
-// Pooled per-operation group runners.  The parallel paths (applyParallel,
-// Copy, Fill, majParallel, runFuncParallel) used to hand internal/exec a
-// closure per operation; closures capture, captures allocate, and the
-// direct-op hot path must not.  opRunner is the closure replaced by a pooled
-// struct: one is checked out per operation, carries the operands and the
-// schedule start time, and implements exec.GroupRunner over whole bank
-// groups.  Group-granular dispatch is also what enables the multi-row fused
+// Pooled per-operation group runners.  The direct operations (Apply, Copy,
+// Fill, Func.Run, Maj) run their rows through internal/exec without a
+// closure per operation: closures capture, captures allocate, and the
+// direct-op hot path must not.  An opRunner is checked out per operation,
+// carries the operands and the schedule start time, and implements
+// exec.GroupRunner over whole bank groups; System.dispatch runs it.
+// Group-granular dispatch is also what enables the multi-row fused
 // fast path: a bulk group with tracing off and ECC off batches all of its
 // rows into a single controller.ExecuteOpRowsFused call — one word-parallel
 // pass, one device stats commit, one controller stats lock for the whole
@@ -59,9 +61,9 @@ type opRunner struct {
 var opRunnerPool = sync.Pool{New: func() any { return new(opRunner) }}
 
 // getOpRunner checks a runner out of the pool for one operation.
-func getOpRunner(s *System) *opRunner {
+func getOpRunner(s *System, kind runnerKind, tag Tag) *opRunner {
 	r := opRunnerPool.Get().(*opRunner)
-	r.s = s
+	r.s, r.kind, r.tag = s, kind, tag
 	return r
 }
 
@@ -81,6 +83,113 @@ var trainPool = sync.Pool{New: func() any { return new([]controller.RowTrain) }}
 // rowAddrPool recycles the per-group operand-address scratch of maj and
 // compiled-func groups.
 var rowAddrPool = sync.Pool{New: func() any { return new([]dram.RowAddr) }}
+
+// dispatch runs one direct operation: the coherence charge, then the rows
+// of addrs grouped by bank, each bank's trains on one worker of the
+// execution engine under its shard lock, with command events captured per
+// bank and merged into serial order (obs.ShardSet); then the deterministic
+// merge and the stats commit.  A single-client traced run is byte-identical
+// to the serial path.  run carries the operands, the kind and the tag;
+// dispatch returns it to the pool.  The caller holds execMu for reading and
+// has validated the operands.
+//
+// Per-bank prefix semantics: a failing bank stops at its failing row, other
+// banks complete theirs, and the clock and row counters account what ran.
+func (s *System) dispatch(run *opRunner, addrs []dram.PhysAddr, coherenceRows int64) error {
+	tag := run.tag
+	observing := s.observing()
+	var fmEvents, fmBits int64
+	var fmAttr bool
+	if run.kind == runMaj {
+		fmEvents, fmBits, fmAttr = s.majFaultsBefore(tag)
+	}
+	var devBefore dram.Stats
+	s.statsMu.Lock()
+	if observing {
+		devBefore = s.dev.Stats()
+	}
+	opStart := s.stats.ElapsedNS
+	start := opStart + s.coherenceNS(coherenceRows)
+	s.statsMu.Unlock()
+
+	plan := s.eng.PlanAddrs(addrs)
+	banks := plan.Banks()
+	s.eng.LockBanks(banks)
+	run.start, run.ss = start, s.cfg.Tracer.BeginShards(banks)
+	res := s.eng.RunPlan(plan, run)
+	run.ss.MergeAndEmit()
+	s.eng.UnlockBanks(banks)
+	plan.Release()
+
+	end := max(res.EndNS, start) // every row failed; the coherence flush still happened
+	s.statsMu.Lock()
+	if end > s.stats.ElapsedNS {
+		s.stats.ElapsedNS = end
+	}
+	switch run.kind {
+	case runCopy, runFill:
+		s.stats.Copies += int64(res.Completed)
+	default:
+		s.stats.RowOps += int64(res.Completed)
+	}
+	if res.Err == nil {
+		switch run.kind {
+		case runBulk:
+			s.stats.BulkOps[run.op]++
+		case runFunc:
+			s.stats.FuncOps++
+		case runMaj:
+			s.stats.MajOps++
+		}
+	} else if run.kind == runBulk && errors.Is(res.Err, ErrUncorrectable) {
+		s.stats.UncorrectableRows++
+		if m := s.cfg.Metrics; m != nil {
+			m.Add("uncorrectable_rows", 1)
+		}
+		s.addLabeledNS(tag, "uncorrectable_rows", 1)
+	}
+	s.statsMu.Unlock()
+	if fmAttr {
+		s.majFaultsCommit(tag, fmEvents, fmBits)
+	}
+
+	var err error
+	switch {
+	case res.Err == nil:
+		if observing {
+			s.observeOp(tag, run.spanName(), -1, len(addrs), opStart, end-opStart, devBefore)
+		}
+	case run.kind == runBulk:
+		err = fmt.Errorf("ambit: %v row %d: %w", run.op, res.ErrRow, res.Err)
+	case run.kind == runCopy:
+		err = fmt.Errorf("ambit: Copy row %d: %w", res.ErrRow, res.Err)
+	case run.kind == runFill:
+		err = fmt.Errorf("ambit: Fill: %w", res.Err)
+	case run.kind == runFunc:
+		err = fmt.Errorf("ambit: func %s row %d: %w", run.f.name, res.ErrRow, res.Err)
+	default:
+		err = fmt.Errorf("ambit: Maj row %d: %w", res.ErrRow, res.Err)
+	}
+	putOpRunner(run)
+	return err
+}
+
+// spanName is the operation's metric and span label, matching the serial
+// paths'.
+func (r *opRunner) spanName() string {
+	switch r.kind {
+	case runBulk:
+		return r.op.String()
+	case runCopy:
+		return "copy"
+	case runFill:
+		return "fill"
+	case runFunc:
+		return "func:" + r.f.name
+	default:
+		return "maj"
+	}
+}
 
 // RunGroup executes one bank group with the prefix/merge semantics
 // internal/exec documents: rows in ascending order, stop at the first

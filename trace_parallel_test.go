@@ -3,6 +3,7 @@ package ambit
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -243,5 +244,165 @@ func TestTracedParallelOverheadGate(t *testing.T) {
 		tracedSerial, traced, speedup)
 	if speedup < 3 {
 		t.Errorf("traced parallel speedup over traced serial = %.2fx, want >= 3x", speedup)
+	}
+}
+
+// tracedProgramOps is the operation set both *Batch (recording) and *System
+// (direct calls) provide, so one program body drives either.
+type tracedProgramOps interface {
+	And(dst, a, b *Bitvector) error
+	Or(dst, a, b *Bitvector) error
+	Xor(dst, a, b *Bitvector) error
+	Not(dst, a *Bitvector) error
+	Copy(dst, src *Bitvector) error
+	Fill(v *Bitvector, bit bool) error
+}
+
+// tracedBatchProgram allocates its vectors on a fresh System (seeded
+// contents) and records or issues its operations on them.
+type tracedBatchProgram struct {
+	name  string
+	alloc func(t *testing.T, sys *System) []*Bitvector
+	body  func(ops tracedProgramOps, v []*Bitvector) error
+}
+
+// allocSeeded allocates one 3-row vector per base slot in bases and writes
+// seeded random words into each.
+func allocSeeded(t *testing.T, sys *System, bases ...int) []*Bitvector {
+	t.Helper()
+	rng := rand.New(rand.NewSource(23))
+	vs := make([]*Bitvector, len(bases))
+	for i, base := range bases {
+		v, err := sys.AllocAt(3*int64(sys.RowSizeBits()), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadRand(t, rng, v)
+		vs[i] = v
+	}
+	return vs
+}
+
+var tracedBatchPrograms = []tracedBatchProgram{
+	{
+		// Eight independent op chains, one per base slot, so every bank
+		// carries rows of several unrelated operations.
+		name: "independent",
+		alloc: func(t *testing.T, sys *System) []*Bitvector {
+			var bases []int
+			for g := 0; g < 8; g++ {
+				bases = append(bases, g, g, g, g)
+			}
+			return allocSeeded(t, sys, bases...)
+		},
+		body: func(ops tracedProgramOps, v []*Bitvector) error {
+			for g := 0; g < 8; g++ {
+				a, b, c, d := v[4*g], v[4*g+1], v[4*g+2], v[4*g+3]
+				for _, err := range []error{
+					ops.Xor(c, a, b),
+					ops.And(d, a, b),
+					ops.Or(c, c, d),
+					ops.Not(d, c),
+					ops.Copy(a, d),
+					ops.Fill(b, g%2 == 0),
+				} {
+					if err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		},
+	},
+	{
+		// PSM copies between base slots 0 and 1 (every row pair crosses a
+		// bank boundary) chained into bulk ops on both sides.
+		name: "cross-bank-copy",
+		alloc: func(t *testing.T, sys *System) []*Bitvector {
+			return allocSeeded(t, sys, 0, 0, 0, 1, 1, 1)
+		},
+		body: func(ops tracedProgramOps, v []*Bitvector) error {
+			a0, b0, c0, a1, b1, c1 := v[0], v[1], v[2], v[3], v[4], v[5]
+			for _, err := range []error{
+				ops.And(c0, a0, b0),
+				ops.Copy(a1, c0),
+				ops.Xor(c1, a1, b1),
+				ops.Not(b1, a1),
+				ops.Copy(b0, c1),
+				ops.Or(c0, c0, b0),
+				ops.Xor(a0, a0, c0),
+			} {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	},
+}
+
+// runTracedProgram runs p on a fresh system, as one Batch or as direct
+// calls, and returns the JSONL trace (when traced) and every vector's final
+// contents.
+func runTracedProgram(t *testing.T, p tracedBatchProgram, workers int, batch, traced bool) ([]byte, [][]uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg := DefaultConfig()
+	cfg.ExecWorkers = workers
+	if traced {
+		cfg.Tracer = NewTracer(NewJSONLSink(&buf))
+	}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := p.alloc(t, sys)
+	if batch {
+		b := sys.NewBatch()
+		if err := p.body(b, vs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+	} else if err := p.body(sys, vs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var data [][]uint64
+	for _, v := range vs {
+		words, err := v.Read(Backdoor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, words)
+	}
+	return buf.Bytes(), data
+}
+
+// TestTracedBatchDeterministic: a traced Batch writes the same JSONL bytes
+// at every worker count and on every repeat — for independent ops spread
+// over all banks and for a program chained through cross-bank copies — and
+// leaves the same contents as the program issued as direct calls.
+func TestTracedBatchDeterministic(t *testing.T) {
+	for _, p := range tracedBatchPrograms {
+		t.Run(p.name, func(t *testing.T) {
+			_, direct := runTracedProgram(t, p, 0, false, false)
+			want, data := runTracedProgram(t, p, 1, true, true)
+			if !reflect.DeepEqual(data, direct) {
+				t.Fatal("batch contents differ from the program issued as direct calls")
+			}
+			for rep := 0; rep < 10; rep++ {
+				for _, workers := range []int{1, 2, 8} {
+					got, _ := runTracedProgram(t, p, workers, true, true)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("repeat %d, workers=%d: trace differs from the first workers=1 run (%d vs %d bytes)",
+							rep, workers, len(got), len(want))
+					}
+				}
+			}
+		})
 	}
 }
