@@ -83,6 +83,8 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		{"Not", func() error { return sys.Not(c, a) }},
 		{"Popcount", func() error { _, err := sys.Popcount(c); return err }},
 		{"FuncRun", func() error { return and3.Run(out, a, b, c) }},
+		{"Copy", func() error { return sys.Copy(out, a) }},
+		{"Fill", func() error { return sys.Fill(out, true) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,8 +99,8 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchPopcountAllocsPerRow: a Batch pays a recording and dependency
-// graph cost that grows with the rows it touches, but its popcount rows —
+// TestBatchPopcountAllocsPerRow: a Batch's per-op bookkeeping (one latency
+// slot per row) grows with the rows it touches, but its popcount rows —
 // with and without ECC (the "dataflow" case) — count in place: the heap
 // bytes a 64-row popcount adds over an 8-row one stay far below one row
 // buffer per extra row.
@@ -142,6 +144,55 @@ func TestBatchPopcountAllocsPerRow(t *testing.T) {
 				t.Errorf("Batch popcount allocates %.0f B per row, want under %.0f (no row buffer per row)", perRow, limit)
 			}
 		})
+	}
+}
+
+// TestBatchAllocsIndependentOfRows: recording and running a mixed program —
+// bulk, in-place, Copy, Fill, a two-output Call and Popcount — allocates per
+// op, never per row: once warm, the same program on 64-row vectors makes
+// exactly as many allocations as on 8-row vectors.
+func TestBatchAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; zero-allocation gates run without -race")
+	}
+	sys, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfAdd, err := sys.Compile("halfadd", Xor(Var(0), Var(1)), And(Var(0), Var(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocsAt := func(rows int64) float64 {
+		bits := rows * int64(sys.RowSizeBits())
+		a, b, c, d := sys.MustAlloc(bits), sys.MustAlloc(bits), sys.MustAlloc(bits), sys.MustAlloc(bits)
+		program := func() {
+			bt := sys.NewBatch()
+			for _, err := range []error{
+				bt.Fill(a, true),
+				bt.Xor(b, a, c),
+				bt.Not(c, c),
+				bt.Copy(d, b),
+				bt.Call(halfAdd, []*Bitvector{a, c}, b, d),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := bt.Popcount(a); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bt.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			program() // warm pools, worker goroutines and the frontier map
+		}
+		return testing.AllocsPerRun(50, program)
+	}
+	if small, large := allocsAt(8), allocsAt(64); small != large {
+		t.Errorf("Batch allocations grow with rows: %v at 8 rows, %v at 64", small, large)
 	}
 }
 

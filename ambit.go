@@ -20,7 +20,7 @@
 //     (Section 5.4.2),
 //   - per-operation latency and energy accounting (internal/energy),
 //   - a batch execution engine (Batch) that records programs of bulk
-//     operations, derives their dependency graph, and dispatches
+//     operations, orders them by their operand conflicts, and dispatches
 //     independent operations concurrently across banks.
 //
 // All operations are functionally exact (the simulated DRAM really computes
@@ -43,13 +43,13 @@
 //
 // Issuing operations one at a time serializes them on the system's global
 // clock even when they occupy different banks.  A Batch instead records a
-// program of operations, builds a dependency graph from their operand row
-// sets, and schedules independent operations concurrently: per-bank
-// timelines advance independently (Section 7's bank-level parallelism, as
-// programs of primitives in the spirit of the follow-up "In-DRAM Bulk
-// Bitwise Execution Engine", arXiv 1905.09822), and the host-side functional
-// simulation runs each bank's rows as one recording-order stream, the banks
-// in parallel.
+// program of operations, orders each after the earlier ones it conflicts
+// with on an operand vector, and schedules independent operations
+// concurrently: per-bank timelines advance independently (Section 7's
+// bank-level parallelism, as programs of primitives in the spirit of the
+// follow-up "In-DRAM Bulk Bitwise Execution Engine", arXiv 1905.09822), and
+// the host-side functional simulation runs each bank's rows as one
+// recording-order stream, the banks in parallel.
 //
 //	batch := sys.NewBatch()
 //	batch.Xor(t, a, b)   // recorded, not yet executed
@@ -365,6 +365,11 @@ type System struct {
 	// (Bitvector Write/WriteAt/ReadInto), allocated lazily and reused —
 	// all of those hold execMu exclusively, so one buffer suffices.
 	ioScratch []uint64
+
+	// frontier is Batch.schedule's dependency frontier, allocated lazily,
+	// reused across batches and cleared after each so it keeps no freed
+	// vector alive.  Batch.Run holds execMu exclusively.
+	frontier map[*Bitvector]vecFrontier
 
 	stats Stats
 }

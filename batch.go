@@ -9,7 +9,6 @@ import (
 	"ambit/internal/dram"
 	"ambit/internal/exec"
 	"ambit/internal/obs"
-	"ambit/internal/program"
 )
 
 // batchKind enumerates the primitive kinds a Batch records.
@@ -97,26 +96,6 @@ func (o *batchOp) name() string {
 	}
 }
 
-// operands returns the op's operand list by role — including nil entries, so
-// validation can reject them.
-func (o *batchOp) operands() []*Bitvector {
-	switch o.kind {
-	case batchBulk:
-		if o.op.Unary() {
-			return []*Bitvector{o.dst, o.a}
-		}
-		return []*Bitvector{o.dst, o.a, o.b}
-	case batchCopy:
-		return []*Bitvector{o.dst, o.a}
-	case batchFill:
-		return []*Bitvector{o.dst}
-	case batchFunc:
-		return append(append([]*Bitvector(nil), o.dsts...), o.srcs...)
-	default:
-		return []*Bitvector{o.a}
-	}
-}
-
 // coherenceRows returns how many cached rows must be flushed or invalidated
 // before the op may touch DRAM (DESIGN.md "Coherence model"): bulk ops flush
 // their source rows (destination invalidation hides behind the B-group
@@ -134,6 +113,37 @@ func (o *batchOp) coherenceRows() int64 {
 		return int64(len(o.dsts[0].rows)) * int64(o.fn.c.NumInputs)
 	default:
 		return 0
+	}
+}
+
+// eachAccess calls visit for every operand of the op by role: the vectors
+// it overwrites (write true), then the ones it reads (write false).  A nil
+// operand is visited too, so recording can reject it; an operand updated in
+// place is visited twice.  The B-group and control rows an op stages through
+// are not operands: they are transient within one atomic command train, so
+// they impose bank occupancy (the timelines) but no data dependency.
+func (o *batchOp) eachAccess(visit func(v *Bitvector, write bool)) {
+	switch o.kind {
+	case batchBulk:
+		visit(o.dst, true)
+		visit(o.a, false)
+		if !o.op.Unary() {
+			visit(o.b, false)
+		}
+	case batchCopy:
+		visit(o.dst, true)
+		visit(o.a, false)
+	case batchFill:
+		visit(o.dst, true)
+	case batchPopcount:
+		visit(o.a, false)
+	case batchFunc:
+		for _, v := range o.dsts {
+			visit(v, true)
+		}
+		for _, v := range o.srcs {
+			visit(v, false)
+		}
 	}
 }
 
@@ -173,13 +183,13 @@ type BatchReport struct {
 // Operations are recorded by the same-named methods (And, Xor, Copy, ...)
 // and validated immediately, but nothing executes until Run.  Run executes
 // the program as one recording-order stream of row-level command trains per
-// bank, the banks in parallel on the System's execution engine, then builds
-// a dependency graph from the operations' operand row sets
-// (internal/program) and schedules their trains against per-bank timelines:
-// two operations that touch disjoint banks overlap fully in simulated time,
-// instead of serializing on the System's global clock the way direct calls
-// do.  This is the "program of bbop primitives" execution model of the
-// follow-up work "In-DRAM Bulk Bitwise Execution Engine" (arXiv 1905.09822).
+// bank, the banks in parallel on the System's execution engine, then
+// schedules their trains against per-bank timelines, each operation after
+// the earlier ones it conflicts with on an operand vector: two operations
+// that touch disjoint banks overlap fully in simulated time, instead of
+// serializing on the System's global clock the way direct calls do.  This
+// is the "program of bbop primitives" execution model of the follow-up work
+// "In-DRAM Bulk Bitwise Execution Engine" (arXiv 1905.09822).
 //
 // A Batch is not safe for concurrent recording; record from one goroutine,
 // then Run (Run itself synchronizes with all other System activity).  A
@@ -213,8 +223,14 @@ func (b *Batch) record(op *batchOp) error {
 		b.ops = append(b.ops, op)
 		return nil
 	}
-	if err := s.checkOperands("Batch."+op.name(), op.operands()...); err != nil {
-		return err
+	var bad error
+	op.eachAccess(func(v *Bitvector, _ bool) {
+		if bad == nil {
+			bad = s.operandErr(v)
+		}
+	})
+	if bad != nil {
+		return fmt.Errorf("ambit: Batch.%s: %w", op.name(), bad)
 	}
 	switch op.kind {
 	case batchBulk:
@@ -305,11 +321,12 @@ func (b *Batch) Popcount(v *Bitvector) (*PopcountResult, error) {
 // tracer, the ECC policy, an armed fault injector — needs the individual
 // commands.  Traces, fault draws, results and Stats are identical at every
 // worker count.  The timing phase then replays the program in deterministic
-// order against the per-bank timelines: an operation starts when its
-// dependencies finish, and each of its row trains occupies its bank from the
-// bank's own earliest free moment — so independent operations on disjoint
-// banks overlap in simulated time.  The System clock advances by the batch
-// makespan, not by the sum of operation latencies.
+// order against the per-bank timelines: an operation starts when the earlier
+// operations it conflicts with on an operand vector (read after write, write
+// after write, write after read) finish, and each of its row trains occupies
+// its bank from the bank's own earliest free moment — so independent
+// operations on disjoint banks overlap in simulated time.  The System clock
+// advances by the batch makespan, not by the sum of operation latencies.
 //
 // On error the simulated clock and counters are left unchanged, but DRAM
 // contents may reflect a partially executed program: every bank stream runs
@@ -328,10 +345,10 @@ func (b *Batch) Run() (BatchReport, error) {
 	}
 	// Operands may have been freed between recording and Run.
 	for i, op := range b.ops {
-		for _, v := range op.operands() {
-			if v.rows == nil {
-				return BatchReport{}, fmt.Errorf("ambit: Batch op %d (%s): operand freed after recording: %w", i, op.name(), ErrFreed)
-			}
+		freed := false
+		op.eachAccess(func(v *Bitvector, _ bool) { freed = freed || v.rows == nil })
+		if freed {
+			return BatchReport{}, fmt.Errorf("ambit: Batch op %d (%s): operand freed after recording: %w", i, op.name(), ErrFreed)
 		}
 	}
 	observing := s.observing()
@@ -351,8 +368,7 @@ func (b *Batch) Run() (BatchReport, error) {
 		}
 		return BatchReport{}, err
 	}
-	g := program.Build(b.programOps())
-	makespan := b.schedule(g)
+	makespan, waves := b.schedule()
 	if observing {
 		s.observeOp(Tag{}, "batch", -1, len(b.ops), s.stats.ElapsedNS-makespan, makespan, devBefore)
 	}
@@ -361,42 +377,7 @@ func (b *Batch) Run() (BatchReport, error) {
 			op.result.done = true
 		}
 	}
-	return BatchReport{Ops: len(b.ops), Waves: g.Waves(), MakespanNS: makespan}, nil
-}
-
-// programOps converts the recorded ops into their read/write row sets.  The
-// B-group and control rows an op stages through are deliberately excluded:
-// they are transient within one atomic command train, so they impose bank
-// occupancy (modelled by the timelines) but no data dependency.
-func (b *Batch) programOps() []program.Op {
-	ops := make([]program.Op, len(b.ops))
-	for i, op := range b.ops {
-		p := program.Op{Label: op.name()}
-		switch op.kind {
-		case batchBulk:
-			p.Writes = op.dst.rows
-			p.Reads = append(p.Reads, op.a.rows...)
-			if !op.op.Unary() {
-				p.Reads = append(p.Reads, op.b.rows...)
-			}
-		case batchCopy:
-			p.Reads = op.a.rows
-			p.Writes = op.dst.rows
-		case batchFill:
-			p.Writes = op.dst.rows
-		case batchPopcount:
-			p.Reads = op.a.rows
-		case batchFunc:
-			for _, d := range op.dsts {
-				p.Writes = append(p.Writes, d.rows...)
-			}
-			for _, src := range op.srcs {
-				p.Reads = append(p.Reads, src.rows...)
-			}
-		}
-		ops[i] = p
-	}
-	return ops
+	return BatchReport{Ops: len(b.ops), Waves: waves, MakespanNS: makespan}, nil
 }
 
 // batchItem is one row-level unit of the flattened program: op indexes the
@@ -615,26 +596,48 @@ func (st *batchStreams) runBulk(bank int, idx []int) (int, error) {
 	return -1, nil
 }
 
-// schedule runs the deterministic timing phase and returns the makespan.
-// Ops are replayed in recording order (a topological order of the graph):
-// each starts at the finish of its latest dependency plus its coherence
-// charge, each row train reserves its bank's own timeline, and channel-bound
-// ops (Popcount) serialize on a single channel timeline.  The system clock
-// advances to the finish of the last op.
-func (b *Batch) schedule(g *program.Graph) float64 {
+// vecFrontier is one operand vector's entry in the timing phase's dependency
+// frontier.  Waves count from 1; a zero wave means there is no such op.
+type vecFrontier struct {
+	writeEnd  float64 // finish of the vector's last writer
+	writeWave int     // the last writer's wave
+	readEnd   float64 // latest finish among the ops that read it since then
+	readWave  int     // highest wave among those readers
+}
+
+// schedule runs the deterministic timing phase and returns the makespan and
+// the program's dependency depth (Waves).  Ops are replayed in recording
+// order against a dependency frontier keyed by operand vector: an op starts
+// at the latest finish of the last writer of every vector it touches (RAW,
+// WAW) and of the readers since that write of every vector it overwrites
+// (WAR), plus its coherence charge; its wave is one more than theirs.  Every
+// op touches every row of each operand and live vectors own disjoint rows,
+// so this is the row-level hazard graph exactly, and the start times are
+// maxima of the same floats.  Each row train reserves its bank's own
+// timeline, and channel-bound ops (Popcount) serialize on a single channel
+// timeline.  The system clock advances to the finish of the last op.
+func (b *Batch) schedule() (float64, int) {
 	s := b.sys
+	if s.frontier == nil {
+		s.frontier = make(map[*Bitvector]vecFrontier)
+	}
+	fr := s.frontier
 	base := s.stats.ElapsedNS
-	finish := make([]float64, len(b.ops))
 	channelFree := base
 	makespan := base
+	waves := 0
 	observing := s.observing()
-	for i, op := range b.ops {
-		start := base
-		for _, d := range g.Deps(i) {
-			if finish[d] > start {
-				start = finish[d]
+	for _, op := range b.ops {
+		start, wave := base, 0
+		op.eachAccess(func(v *Bitvector, write bool) {
+			f := fr[v]
+			start, wave = max(start, f.writeEnd), max(wave, f.writeWave)
+			if write {
+				start, wave = max(start, f.readEnd), max(wave, f.readWave)
 			}
-		}
+		})
+		wave++
+		waves = max(waves, wave)
 		opStart := start
 		start += s.coherenceNS(op.coherenceRows())
 		end := start
@@ -681,7 +684,18 @@ func (b *Batch) schedule(g *program.Graph) float64 {
 			channelFree = end
 			s.stats.ChannelBytes += bytes
 		}
-		finish[i] = end
+		// Writes are visited first, so an op that updates a vector in place
+		// also stays listed as its reader; that entry repeats the writer's
+		// finish and wave, so it adds no constraint.
+		op.eachAccess(func(v *Bitvector, write bool) {
+			if write {
+				fr[v] = vecFrontier{writeEnd: end, writeWave: wave}
+				return
+			}
+			f := fr[v]
+			f.readEnd, f.readWave = max(f.readEnd, end), max(f.readWave, wave)
+			fr[v] = f
+		})
 		if end > makespan {
 			makespan = end
 		}
@@ -704,6 +718,7 @@ func (b *Batch) schedule(g *program.Graph) float64 {
 			}
 		}
 	}
+	clear(fr)
 	s.stats.ElapsedNS = makespan
-	return makespan - base
+	return makespan - base, waves
 }

@@ -13,6 +13,9 @@
 //     `svc_...`, labels and exposition suffixes included) must trace back to
 //     a metric name registered somewhere in the non-test Go sources — docs
 //     may not advertise series /metrics does not serve.
+//   - the Architecture tree in README.md must match internal/: every
+//     `internal/<pkg>` it names must exist as a directory, and every
+//     top-level directory under internal/ must be named in it.
 //
 // Usage:
 //
@@ -47,6 +50,7 @@ func main() {
 		violations = append(violations, checkMarkdown(md)...)
 		violations = append(violations, checkMetricNames(md, corpus)...)
 	}
+	violations = append(violations, checkArchitectureTree("README.md", "internal")...)
 
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -252,5 +256,52 @@ func checkMarkdown(path string) []string {
 			out = append(out, fmt.Sprintf("%s: %s §%q does not match any heading of %s", path, file, section, file))
 		}
 	}
+	return out
+}
+
+// treePkgRe matches a package the Architecture tree names, capturing its
+// top-level directory under internal/.
+var treePkgRe = regexp.MustCompile(`internal/([A-Za-z0-9_]+)`)
+
+// checkArchitectureTree compares the fenced tree under readme's
+// "## Architecture" heading with the directories under internalDir, both
+// ways: a named package that does not exist and a directory the tree omits
+// are each a violation.
+func checkArchitectureTree(readme, internalDir string) []string {
+	data, err := os.ReadFile(readme)
+	if err != nil {
+		return []string{fmt.Sprintf("%s: %v", readme, err)}
+	}
+	_, section, ok := strings.Cut(string(data), "\n## Architecture\n")
+	if ok {
+		section, _, _ = strings.Cut(section, "\n## ")
+		_, section, ok = strings.Cut(section, "```")
+		section, _, _ = strings.Cut(section, "```")
+	}
+	if !ok {
+		return []string{fmt.Sprintf("%s: no fenced tree under \"## Architecture\"", readme)}
+	}
+	named := map[string]bool{}
+	for _, m := range treePkgRe.FindAllStringSubmatch(section, -1) {
+		named[m[1]] = true
+	}
+	entries, err := os.ReadDir(internalDir)
+	if err != nil {
+		return []string{fmt.Sprintf("%s: %v", internalDir, err)}
+	}
+	var out []string
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		if !named[e.Name()] {
+			out = append(out, fmt.Sprintf("%s: Architecture tree omits %s/%s", readme, internalDir, e.Name()))
+		}
+		delete(named, e.Name())
+	}
+	for pkg := range named {
+		out = append(out, fmt.Sprintf("%s: Architecture tree names %s/%s, which is not a directory", readme, internalDir, pkg))
+	}
+	sort.Strings(out)
 	return out
 }

@@ -8,7 +8,6 @@ import (
 
 	"ambit/internal/controller"
 	"ambit/internal/dram"
-	"ambit/internal/program"
 )
 
 // Lowering: schedule the normalized gate DAG, allocate the designated rows
@@ -26,9 +25,8 @@ import (
 // function does not fit the register file and lowering fails with a
 // SpillError carrying the live-range table.
 //
-// Liveness comes from internal/program: gates in schedule order form a
-// program whose ops read their operand values and write their own, and the
-// dependency graph's successor sets give each value's last use.
+// Liveness is a last-use scan over the gates in schedule order: a gate value
+// is live until the last gate that reads it as an operand.
 
 const (
 	slotT0 = iota
@@ -291,27 +289,16 @@ func (l *lowerer) schedule(outs []*node) {
 	l.valMask = make([]uint8, len(l.gates))
 }
 
-// liveness derives each gate value's last use from the program dependency
-// graph: gate i reads its operand values and writes its own, so the RAW
-// successor set is exactly the consumer set.
+// liveness derives each gate value's last use: the last gate that reads it
+// as an operand, or the gate itself when none does.  Schedule order puts
+// every consumer after its operands, so the last assignment is the latest.
 func (l *lowerer) liveness() {
-	ops := make([]program.Op, len(l.gates))
-	for i, g := range l.gates {
-		op := program.Op{Label: renderNode(g), Writes: []dram.PhysAddr{{Row: dram.D(i)}}}
-		for ai := 0; ai < g.n; ai++ {
-			if a := g.args[ai]; a.kind == nGate {
-				op.Reads = append(op.Reads, dram.PhysAddr{Row: dram.D(l.gidx[a])})
-			}
-		}
-		ops[i] = op
-	}
-	graph := program.Build(ops)
 	l.lastUse = make([]int, len(l.gates))
-	for i := range l.gates {
+	for i, g := range l.gates {
 		l.lastUse[i] = i
-		for _, s := range graph.Succs(i) {
-			if s > l.lastUse[i] {
-				l.lastUse[i] = s
+		for _, a := range g.args[:g.n] {
+			if a.kind == nGate {
+				l.lastUse[l.gidx[a]] = i
 			}
 		}
 	}

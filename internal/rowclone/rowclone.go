@@ -93,10 +93,9 @@ type Engine struct {
 func (e *Engine) SetTracer(tr *obs.Tracer) { e.tr = tr }
 
 // emitCopy emits one copy command event onto the destination bank's lane.
+// Callers check e.tr.Enabled() first, so an untraced copy formats no
+// addresses and allocates nothing.
 func (e *Engine) emitCopy(mode Mode, bank, sub int, src, dst, comment string, durNS float64) {
-	if !e.tr.Enabled() {
-		return
-	}
 	e.tr.Emit(obs.Event{
 		Kind: obs.KindCommand, Name: mode.String(), Bank: bank, Subarray: sub,
 		StartNS: -1, DurNS: durNS, A1: src, A2: dst, Comment: comment,
@@ -176,7 +175,9 @@ func (e *Engine) FPM(bank, sub int, src, dst dram.RowAddr) (float64, error) {
 	e.stats.FPMCopies++
 	e.stats.TotalNS += lat
 	e.mu.Unlock()
-	e.emitCopy(ModeFPM, bank, sub, src.String(), dst.String(), "intra-subarray amplifier copy", lat)
+	if e.tr.Enabled() {
+		e.emitCopy(ModeFPM, bank, sub, src.String(), dst.String(), "intra-subarray amplifier copy", lat)
+	}
 	return lat, nil
 }
 
@@ -241,7 +242,9 @@ func (e *Engine) PSM(src, dst dram.PhysAddr) (float64, error) {
 	e.stats.PSMCopies++
 	e.stats.TotalNS += lat
 	e.mu.Unlock()
-	e.emitCopy(ModePSM, dst.Bank, dst.Subarray, src.String(), dst.String(), "pipelined internal-bus copy", lat)
+	if e.tr.Enabled() {
+		e.emitCopy(ModePSM, dst.Bank, dst.Subarray, src.String(), dst.String(), "pipelined internal-bus copy", lat)
+	}
 	return lat, nil
 }
 
@@ -277,7 +280,9 @@ func (e *Engine) MCCopy(src, dst dram.PhysAddr) (float64, error) {
 	e.stats.MCCopies++
 	e.stats.TotalNS += lat
 	e.mu.Unlock()
-	e.emitCopy(ModeMC, dst.Bank, dst.Subarray, src.String(), dst.String(), "controller-mediated channel copy", lat)
+	if e.tr.Enabled() {
+		e.emitCopy(ModeMC, dst.Bank, dst.Subarray, src.String(), dst.String(), "controller-mediated channel copy", lat)
+	}
 	return lat, nil
 }
 
@@ -330,6 +335,8 @@ func (e *Engine) LISA(src, dst dram.PhysAddr) (float64, error) {
 	e.stats.LISACopies++
 	e.stats.TotalNS += lat
 	e.mu.Unlock()
-	e.emitCopy(ModeLISA, dst.Bank, dst.Subarray, src.String(), dst.String(), "row-buffer-movement copy", lat)
+	if e.tr.Enabled() {
+		e.emitCopy(ModeLISA, dst.Bank, dst.Subarray, src.String(), dst.String(), "row-buffer-movement copy", lat)
+	}
 	return lat, nil
 }
