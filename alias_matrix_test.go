@@ -9,13 +9,12 @@ package ambit
 // (the train AAPs both sources into the TRA group before the destination
 // row is written back).
 //
-// Every cell of the matrix runs the op on the serial exclusive path (the
-// stepwise reference) and on the parallel path at 1 and 4 workers (fused
-// when eligible), under three configurations: untraced (fused fast path),
+// Every cell of the matrix runs the op at 1 worker (the reference) and at 2,
+// 4 and 8 workers, under three configurations: untraced (fused fast path),
 // traced (per-command events force the stepwise engine), and fault-armed
 // (an injector makes ExecuteOpRowsFused reject the train, exercising the
-// in-op stepwise fallback).  Contents and Stats must be bit-identical in
-// all cases, and for the fault-free configurations the destination must
+// in-op stepwise fallback).  Contents and Stats must be bit-identical across
+// worker counts, and for the fault-free configurations the destination must
 // also match a word-level software model of the op.
 
 import (
@@ -84,16 +83,12 @@ func aliasSeedWords(words int) [3][]uint64 {
 // runAliasCase builds a fresh System, seeds three equally-shaped vectors,
 // applies op with the pattern's aliasing, and snapshots all three vectors'
 // contents plus the System statistics.
-func runAliasCase(t *testing.T, op aliasOp, pat aliasPattern, workers int, serial bool, opts ...Option) ([][]uint64, Stats) {
+func runAliasCase(t *testing.T, op aliasOp, pat aliasPattern, workers int, opts ...Option) ([][]uint64, Stats) {
 	t.Helper()
-	sys, err := New(opts...)
+	sys, err := New(append([]Option{WithExecWorkers(workers)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if workers > 0 {
-		sys.eng.SetWorkers(workers)
-	}
-	sys.forceSerial = serial
 	bits := 3 * int64(sys.RowSizeBits()) // three full rows: spans banks, no tail masking
 	vs := make([]*Bitvector, 3)
 	for i := range vs {
@@ -158,11 +153,11 @@ func TestAliasMatrixDifferential(t *testing.T) {
 			}
 			for _, cfg := range configs {
 				t.Run(fmt.Sprintf("%s/%s/%s", op.name, pat.name, cfg.name), func(t *testing.T) {
-					wantData, wantStats := runAliasCase(t, op, pat, 0, true, cfg.opts()...)
-					for _, workers := range []int{1, 4} {
-						gotData, gotStats := runAliasCase(t, op, pat, workers, false, cfg.opts()...)
+					wantData, wantStats := runAliasCase(t, op, pat, 1, cfg.opts()...)
+					for _, workers := range []int{2, 4, 8} {
+						gotData, gotStats := runAliasCase(t, op, pat, workers, cfg.opts()...)
 						if !reflect.DeepEqual(gotData, wantData) {
-							t.Errorf("workers=%d: contents diverged from serial reference", workers)
+							t.Errorf("workers=%d: contents diverged from workers=1", workers)
 						}
 						if !reflect.DeepEqual(gotStats, wantStats) {
 							t.Errorf("workers=%d: stats diverged:\n got %+v\nwant %+v", workers, gotStats, wantStats)

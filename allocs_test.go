@@ -12,12 +12,12 @@ import (
 	"testing"
 )
 
-// allocsSystem builds a System with three seeded 8-row vectors and warms
-// every pool (worker goroutines, runner/train/row-buffer pools) so the
+// allocsSystem builds a System from opts with three seeded 8-row vectors and
+// warms every pool (worker goroutines, runner/train/row-buffer pools) so the
 // measured window sees only steady-state behavior.
-func allocsSystem(t *testing.T) (*System, *Bitvector, *Bitvector, *Bitvector) {
+func allocsSystem(t *testing.T, opts ...Option) (*System, *Bitvector, *Bitvector, *Bitvector) {
 	t.Helper()
-	sys, err := New()
+	sys, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates; zero-allocation gates run without -race")
 	}
-	sys, a, b, c := allocsSystem(t)
+	sys, a, b, c := allocsSystem(t, WithManyRowMaj(5))
 	// The bitmap-direct query's compiled predicate: a 3-input AND whose
 	// destination is a fourth vector.
 	and3, err := sys.Compile("and3", And(Var(0), Var(1), Var(2)))
@@ -71,6 +71,9 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 	out := sys.MustAlloc(c.Len())
 	for i := 0; i < 50; i++ {
 		if err := and3.Run(out, a, b, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Maj(out, a, b, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,6 +88,7 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		{"FuncRun", func() error { return and3.Run(out, a, b, c) }},
 		{"Copy", func() error { return sys.Copy(out, a) }},
 		{"Fill", func() error { return sys.Fill(out, true) }},
+		{"Maj", func() error { return sys.Maj(out, a, b, c) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -66,11 +66,11 @@
 // bank, locks those banks' shards, and runs the per-bank command trains on a
 // bounded worker pool, so concurrent operations touching disjoint banks
 // proceed in parallel while operations sharing a bank serialize on its shard.
-// The parallel dispatch is deterministic — results and statistics are
-// bit-identical to a sequential run.  Operations that need a consistent
-// global view (Batch.Run, Popcount, Stats, Free, any configured
-// observability or fault injection) briefly take the execution lock
-// exclusively instead.  Direct access to the underlying Device, Controller,
+// The parallel dispatch is deterministic — results, statistics, traces and
+// fault draws are bit-identical to a sequential run.  Operations that need a
+// consistent global view (a Copy whose rows cross banks, Batch.Run,
+// Popcount, Stats, Free) briefly take the execution lock exclusively
+// instead.  Direct access to the underlying Device, Controller,
 // or RowClone engine (via their accessors) is NOT synchronized and should be
 // confined to one goroutine.
 package ambit
@@ -294,11 +294,11 @@ type System struct {
 	// bounded worker pool both direct ops and batches run on.
 	eng *exec.Engine
 
-	// execMu is the execution lock.  Parallel operation paths hold it for
+	// execMu is the execution lock.  Direct operations hold it for
 	// reading — many may run at once, coordinated by eng's bank shards and
-	// statsMu — while everything needing a consistent global view (serial
-	// operation paths, Batch.Run, Popcount, Stats snapshots, Free, raw
-	// bitvector data access) holds it exclusively.  Lock order:
+	// statsMu — while everything needing a consistent global view (a Copy
+	// with a cross-bank row pair, Batch.Run, Popcount, Stats snapshots,
+	// Free, raw bitvector data access) holds it exclusively.  Lock order:
 	// execMu > mu > bank shards > statsMu.
 	execMu sync.RWMutex
 
@@ -309,10 +309,6 @@ type System struct {
 	// parallel operations (exclusive execMu holders may skip it: no reader
 	// or writer can run concurrently with them).
 	statsMu sync.Mutex
-
-	// forceSerial routes every operation through the serial exclusive path
-	// (test hook for determinism comparisons).
-	forceSerial bool
 
 	// Allocator state: nextRow[slot] is the next free D-group row in
 	// each (bank, subarray) slot; vector row r is placed in slot
@@ -592,20 +588,6 @@ func stepEnergyFunc(m energy.Model, g dram.Geometry) controller.StepEnergyFunc {
 // guard every operation checks before paying for span bookkeeping.
 func (s *System) observing() bool {
 	return s.cfg.Tracer.Enabled() || s.cfg.Metrics != nil
-}
-
-// serialOnly reports whether operations must take the serial exclusive path.
-// Only the forceSerial test hook remains: an armed fault model no longer
-// forces it, because the model's RNG streams are keyed per (bank, subarray)
-// and the execution core runs each bank's rows in ascending order on one
-// goroutine under that bank's shard lock — every stream sees the same draw
-// sequence at any worker count, and the model's counters are order-
-// independent atomic sums, merged exactly like the tracer's per-bank shards.
-// Observability does not force it either — the sharded tracer (obs.ShardSet)
-// and the atomic metrics registry make the parallel path produce
-// byte-identical traces and identical metrics.
-func (s *System) serialOnly() bool {
-	return s.forceSerial
 }
 
 // observeOp records one completed operation into the metrics registry and

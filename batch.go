@@ -401,7 +401,7 @@ type batchItem struct {
 //
 // A cross-bank copy row (a PSM copy through the channel) touches two banks
 // in one train, so a program containing one runs all its items as a single
-// recording-order stream on the calling goroutine instead.
+// recording-order stream on the calling goroutine instead (exec.PlanStream).
 func (b *Batch) execute() error {
 	s := b.sys
 	n := 0
@@ -429,20 +429,17 @@ func (b *Batch) execute() error {
 			addrs = append(addrs, a)
 		}
 	}
-	st := &batchStreams{b: b, items: items}
-	if crossBank {
-		idx := make([]int, len(items))
-		for i := range idx {
-			idx[i] = i
-		}
-		return st.RunGroup(-1, idx).Err
-	}
 	// Run holds execMu exclusively, so no other operation touches the
 	// banks and no shard locks are needed; each bank's stream runs on one
 	// goroutine, the ShardSet single-writer rule.
-	plan := s.eng.PlanAddrs(addrs)
+	var plan *exec.Plan
+	if crossBank {
+		plan = s.eng.PlanStream(len(items))
+	} else {
+		plan = s.eng.PlanAddrs(addrs)
+	}
 	defer plan.Release()
-	st.ss = s.cfg.Tracer.BeginShards(plan.Banks())
+	st := &batchStreams{b: b, items: items, ss: s.cfg.Tracer.BeginShards(plan.Banks())}
 	res := s.eng.RunPlan(plan, st)
 	st.ss.MergeAndEmit()
 	return res.Err

@@ -16,6 +16,10 @@
 //   - the Architecture tree in README.md must match internal/: every
 //     `internal/<pkg>` it names must exist as a directory, and every
 //     top-level directory under internal/ must be named in it.
+//   - every test those files cite (a backticked `Test…`, `Benchmark…` or
+//     `Fuzz…`, up to any `/`) and every name in a `-run '…'` pattern of the
+//     CI workflow must be declared in some _test.go file: `go test -run`
+//     with a pattern naming a deleted test runs nothing and still passes.
 //
 // Usage:
 //
@@ -40,6 +44,9 @@ import (
 // checked.  Missing files are themselves violations.
 var markdownFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
+// ciWorkflow is the CI workflow whose -run patterns must name real tests.
+const ciWorkflow = ".github/workflows/ci.yml"
+
 func main() {
 	var violations []string
 
@@ -51,6 +58,7 @@ func main() {
 		violations = append(violations, checkMetricNames(md, corpus)...)
 	}
 	violations = append(violations, checkArchitectureTree("README.md", "internal")...)
+	violations = append(violations, checkTestNames(".", markdownFiles, ciWorkflow)...)
 
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -66,25 +74,11 @@ func main() {
 // (root, internal/..., cmd/...) without a package doc comment.
 func checkPackageComments(root string) []string {
 	dirs := map[string][]string{} // dir -> non-test .go files
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	err := walkGoFiles(root, func(path string) error {
+		if !strings.HasSuffix(path, "_test.go") {
+			dir := filepath.Dir(path)
+			dirs[dir] = append(dirs[dir], path)
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if strings.HasPrefix(name, ".") && path != root {
-				return filepath.SkipDir
-			}
-			if name == "testdata" || name == "examples" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		dir := filepath.Dir(path)
-		dirs[dir] = append(dirs[dir], path)
 		return nil
 	})
 	if err != nil {
@@ -115,25 +109,30 @@ func checkPackageComments(root string) []string {
 	return out
 }
 
+// walkGoFiles calls fn with the path of every .go file under root, skipping
+// hidden directories, testdata and examples.
+func walkGoFiles(root string, fn func(path string) error) error {
+	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir():
+			if name := d.Name(); (strings.HasPrefix(name, ".") && path != root) || name == "testdata" || name == "examples" {
+				return filepath.SkipDir
+			}
+		case strings.HasSuffix(path, ".go"):
+			return fn(path)
+		}
+		return nil
+	})
+}
+
 // goSourceCorpus concatenates every non-test .go file so metric-name
 // citations can be traced back to the string literals that register them.
 func goSourceCorpus(root string) (string, []string) {
 	var b strings.Builder
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if strings.HasPrefix(name, ".") && path != root {
-				return filepath.SkipDir
-			}
-			if name == "testdata" || name == "examples" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	err := walkGoFiles(root, func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		data, err := os.ReadFile(path)
@@ -303,5 +302,69 @@ func checkArchitectureTree(readme, internalDir string) []string {
 		out = append(out, fmt.Sprintf("%s: Architecture tree names %s/%s, which is not a directory", readme, internalDir, pkg))
 	}
 	sort.Strings(out)
+	return out
+}
+
+var (
+	// testDeclRe matches a top-level test, benchmark or fuzz function.
+	testDeclRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// testCiteRe matches a backticked test name in prose; the name ends at
+	// the first non-identifier character, so `TestX/sub` cites TestX.
+	testCiteRe = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)\\w*)[^`]*`")
+	// runPatternRe matches a quoted `go test -run` pattern.
+	runPatternRe = regexp.MustCompile(`-run '([^']*)'`)
+)
+
+// checkTestNames reports every test name the docs or the CI workflow's -run
+// patterns cite that no _test.go file under root declares.  A -run pattern
+// is split on "|" and stripped of ^/$ anchors; an empty remainder (-run
+// '^$') names nothing.
+func checkTestNames(root string, docs []string, ci string) []string {
+	declared := map[string]bool{}
+	err := walkGoFiles(root, func(path string) error {
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDeclRe.FindAllSubmatch(data, -1) {
+			declared[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return []string{fmt.Sprintf("walking %s: %v", root, err)}
+	}
+	var out []string
+	reported := map[string]bool{}
+	check := func(file, name string) {
+		if !declared[name] && !reported[file+" "+name] {
+			reported[file+" "+name] = true
+			out = append(out, fmt.Sprintf("%s: cites test %s, which no _test.go file declares", file, name))
+		}
+	}
+	for _, md := range docs {
+		data, err := os.ReadFile(filepath.Join(root, md))
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", md, err))
+			continue
+		}
+		for _, m := range testCiteRe.FindAllStringSubmatch(string(data), -1) {
+			check(md, m[1])
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(root, ci))
+	if err != nil {
+		return append(out, fmt.Sprintf("%s: %v", ci, err))
+	}
+	for _, m := range runPatternRe.FindAllStringSubmatch(string(data), -1) {
+		for _, name := range strings.Split(m[1], "|") {
+			if name = strings.Trim(name, "^$"); name != "" {
+				check(ci, name)
+			}
+		}
+	}
 	return out
 }

@@ -47,3 +47,33 @@ func TestCheckArchitectureTree(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckTestNames: a cited test must be declared in some _test.go file.
+// Doc citations count up to the first "/", -run patterns split on "|" with
+// anchors stripped, '^$' names nothing, and a declaration under testdata/
+// does not count.
+func TestCheckTestNames(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, text string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("pkg/a_test.go", "package pkg\n\nfunc TestA(t *testing.T) {}\n\nfunc BenchmarkB(b *testing.B) {}\n\nfunc FuzzC(f *testing.F) {}\n")
+	write("testdata/old_test.go", "package old\n\nfunc TestGone(t *testing.T) {}\n")
+	write("README.md", "`TestA/sub` and `BenchmarkB` pass; `TestMissing` was deleted, twice: `TestMissing`.\n")
+	write("ci.yml", "run: go test -run 'TestA|^FuzzC$|TestGone' .\nrun: go test -run '^$' -bench .\n")
+	got := checkTestNames(dir, []string{"README.md"}, "ci.yml")
+	want := []string{
+		"README.md: cites test TestMissing, which no _test.go file declares",
+		"ci.yml: cites test TestGone, which no _test.go file declares",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("violations = %q, want %q", got, want)
+	}
+}

@@ -165,7 +165,7 @@ func (f *Func) Run(dst *Bitvector, srcs ...*Bitvector) error {
 // that would corrupt a still-needed source are rejected.
 //
 // Like the built-in operations, rows mapped to different banks execute in
-// parallel, and the parallel and serial paths are deterministic equals.
+// parallel, with identical results and Stats at every worker count.
 // Compiled functions run outside the TMR reliability policy: rows execute
 // unverified even when Config.Reliability.ECC is on (fault injection still
 // applies, via the step-by-step path).
@@ -173,13 +173,10 @@ func (f *Func) RunMulti(dsts []*Bitvector, srcs ...*Bitvector) error {
 	return f.sys.runMultiTagged(Tag{}, f, dsts, srcs)
 }
 
-// runMultiTagged is RunMulti with a request tag.
+// runMultiTagged is RunMulti with a request tag.  Coherence: flush the
+// source rows; destination invalidation hides behind the train's B-group
+// staging, exactly as for built-in bulk ops.
 func (s *System) runMultiTagged(tag Tag, f *Func, dsts []*Bitvector, srcs []*Bitvector) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.runFuncSerial(tag, f, dsts, srcs)
-	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
 	if err := s.checkFuncOperands(f, dsts, srcs); err != nil {
@@ -191,7 +188,8 @@ func (s *System) runMultiTagged(tag Tag, f *Func, dsts []*Bitvector, srcs []*Bit
 	run.f = f
 	run.dsts = append(run.dsts, dsts...)
 	run.srcs = append(run.srcs, srcs...)
-	return s.dispatch(run, dsts[0].rows, int64(len(dsts[0].rows))*int64(f.c.NumInputs))
+	rows := dsts[0].rows
+	return s.dispatch(run, s.eng.PlanAddrs(rows), len(rows), int64(len(rows))*int64(f.c.NumInputs))
 }
 
 // checkFuncOperands validates operand liveness, shape, and aliasing for one
@@ -253,48 +251,6 @@ func fillFuncRow(f *Func, dsts, srcs []*Bitvector, r int, buf []dram.RowAddr) dr
 		buf[f.c.NumInputs+j] = d.rows[r].Row
 	}
 	return dsts[0].rows[r]
-}
-
-// runFuncSerial is the exclusive-lock path (fault injection, forceSerial).
-// The caller holds execMu exclusively.
-func (s *System) runFuncSerial(tag Tag, f *Func, dsts, srcs []*Bitvector) error {
-	if err := s.checkFuncOperands(f, dsts, srcs); err != nil {
-		return err
-	}
-	nRows := len(dsts[0].rows)
-	// Coherence: flush the source rows; destination invalidation hides
-	// behind the train's B-group staging, exactly as for built-in bulk ops.
-	rows := int64(nRows) * int64(f.c.NumInputs)
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(rows)
-	end := start
-	buf := make([]dram.RowAddr, f.c.NumInputs+f.c.NumOutputs)
-	for r := 0; r < nRows; r++ {
-		da := fillFuncRow(f, dsts, srcs, r, buf)
-		lat, err := s.ctrl.ExecuteTrain(f.c.Train, da.Bank, da.Subarray, buf)
-		if err != nil {
-			s.stats.ElapsedNS = end
-			s.stats.RowOps += int64(r)
-			return fmt.Errorf("ambit: func %s row %d: %w", f.name, r, err)
-		}
-		done := s.dev.Bank(da.Bank).Reserve(start, lat)
-		s.utilRecord(tag, da.Bank, done, lat)
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.FuncOps++
-	s.stats.RowOps += int64(nRows)
-	if observing {
-		s.observeOp(tag, "func:"+f.name, -1, nRows, opStart, end-opStart, devBefore)
-	}
-	return nil
 }
 
 // PopcountVertical computes the per-lane population count across the input

@@ -53,24 +53,25 @@ func randomFuncExpr(rng *rand.Rand, depth, nvars int) *Expr {
 
 // TestFuncDifferential is the end-to-end property test: >= 1000 random
 // expression DAGs are compiled and executed through the full System stack in
-// four modes — {parallel, serial} x {untraced, traced} — over randomized
-// multi-row operands, and every output word must match the pure-Go reference
-// evaluator.  The serial and parallel paths must also agree on simulated
-// time, operation for operation.
+// six modes — untraced at 1, 2, 4 and 8 workers, traced at 1 and 8 — over
+// randomized multi-row operands, and every output word must match the pure-Go
+// reference evaluator.  Every mode must also agree with the single-worker
+// untraced run on simulated time, operation for operation.
 func TestFuncDifferential(t *testing.T) {
 	type mode struct {
 		name string
 		sys  *System
 	}
 	coh := WithCoherenceNSPerRow(2)
+	traced := func() Option { return WithTracer(NewTracer(nopTraceSink{})) }
 	modes := []mode{
-		{"parallel", compileTestSystem(t, coh)},
-		{"serial", compileTestSystem(t, coh)},
-		{"parallel-traced", compileTestSystem(t, coh, WithTracer(NewTracer(nopTraceSink{})))},
-		{"serial-traced", compileTestSystem(t, coh, WithTracer(NewTracer(nopTraceSink{})))},
+		{"workers-1", compileTestSystem(t, coh, WithExecWorkers(1))},
+		{"workers-2", compileTestSystem(t, coh, WithExecWorkers(2))},
+		{"workers-4", compileTestSystem(t, coh, WithExecWorkers(4))},
+		{"workers-8", compileTestSystem(t, coh, WithExecWorkers(8))},
+		{"workers-1-traced", compileTestSystem(t, coh, WithExecWorkers(1), traced())},
+		{"workers-8-traced", compileTestSystem(t, coh, WithExecWorkers(8), traced())},
 	}
-	modes[1].sys.forceSerial = true
-	modes[3].sys.forceSerial = true
 
 	rng := rand.New(rand.NewSource(42))
 	bits := 2 * int64(modes[0].sys.RowSizeBits()) // two rows: spans two banks
@@ -163,9 +164,11 @@ func TestFuncDifferential(t *testing.T) {
 				}
 			}
 		}
-		// Determinism: serial and parallel agree on the simulated clock.
-		if s, p := modes[1].sys.ElapsedNS(), modes[0].sys.ElapsedNS(); s != p {
-			t.Fatalf("trial %d: serial clock %v != parallel clock %v", trial, s, p)
+		// Determinism: every mode agrees on the simulated clock.
+		for _, md := range modes[1:] {
+			if got, want := md.sys.ElapsedNS(), modes[0].sys.ElapsedNS(); got != want {
+				t.Fatalf("trial %d: %s clock %v != %s clock %v", trial, md.name, got, modes[0].name, want)
+			}
 		}
 	}
 	st := modes[0].sys.Stats()

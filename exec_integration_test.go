@@ -1,13 +1,19 @@
 package ambit
 
 // Integration tests for the sharded execution core: parallel dispatch must be
-// a pure host-side optimization — bit-identical data and statistics versus
-// the serial path at any worker count — and partial failures must account the
-// completed work on both paths.
+// a pure host-side optimization — bit-identical data and statistics at any
+// worker count, pinned by a recorded golden — and partial failures must
+// account the completed work the same way at any worker count.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -74,8 +80,8 @@ func execWorkload(t *testing.T, sys *System) [][]uint64 {
 	return out
 }
 
-// TestParallelExecutionDeterministic runs the same workload on the default
-// (parallel) path, on a 4-worker pool, and on the forced-serial path, and
+// TestParallelExecutionDeterministic runs the same workload on one worker
+// (the reference), on the default pool, and on 2, 4 and 8 workers, and
 // requires bit-identical data and bit-identical statistics — the execution
 // core's central guarantee.
 func TestParallelExecutionDeterministic(t *testing.T) {
@@ -83,30 +89,27 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 		data  [][]uint64
 		stats Stats
 	}
-	run := func(workers int, serial bool) outcome {
-		sys, err := NewSystem(DefaultConfig())
+	run := func(workers int) outcome {
+		sys, err := New(WithExecWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if workers > 0 {
-			sys.eng.SetWorkers(workers)
-		}
-		sys.forceSerial = serial
 		data := execWorkload(t, sys)
 		return outcome{data: data, stats: sys.Stats()}
 	}
-	want := run(0, true) // serial exclusive path is the reference
+	want := run(1)
 	for _, tc := range []struct {
 		name    string
 		workers int
 	}{
 		{"parallel-default", 0},
+		{"parallel-2", 2},
 		{"parallel-4", 4},
-		{"parallel-16", 16},
+		{"parallel-8", 8},
 	} {
-		got := run(tc.workers, false)
+		got := run(tc.workers)
 		if !reflect.DeepEqual(got.data, want.data) {
-			t.Errorf("%s: data diverged from serial", tc.name)
+			t.Errorf("%s: data diverged from workers=1", tc.name)
 		}
 		if !reflect.DeepEqual(got.stats, want.stats) {
 			t.Errorf("%s: stats diverged:\n got %+v\nwant %+v", tc.name, got.stats, want.stats)
@@ -115,15 +118,15 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 }
 
 // TestParallelExecutionRaceStress hammers one System from many goroutines —
-// ops on disjoint vectors, ops sharing sources, stats snapshots, and peeks —
-// under a widened worker pool.  Run with -race this is the data-race gate for
-// the execMu/statsMu/bank-shard split.
+// ops on disjoint vectors, ops sharing sources, cross-bank copies (which
+// upgrade to the exclusive lock), stats snapshots, and peeks — under a
+// widened worker pool.  Run with -race this is the data-race gate for the
+// execMu/statsMu/bank-shard split.
 func TestParallelExecutionRaceStress(t *testing.T) {
-	sys, err := NewSystem(DefaultConfig())
+	sys, err := New(WithExecWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.eng.SetWorkers(4)
 	rowBits := int64(sys.RowSizeBits())
 	bits := 8 * rowBits
 	shared := sys.MustAlloc(bits)
@@ -135,6 +138,12 @@ func TestParallelExecutionRaceStress(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		g := g
 		dst, src := sys.MustAlloc(bits), sys.MustAlloc(bits)
+		// Base slot 1 puts every row of cross on a different bank from
+		// the same row of dst (base slot 0).
+		cross, err := sys.AllocAt(bits, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -149,6 +158,9 @@ func TestParallelExecutionRaceStress(t *testing.T) {
 					err = sys.Not(dst, src)
 				default:
 					err = sys.Xor(dst, src, shared)
+				}
+				if err == nil && iter%2 == 1 {
+					err = sys.Copy(cross, dst)
 				}
 				if err != nil {
 					t.Errorf("goroutine %d iter %d: %v", g, iter, err)
@@ -173,16 +185,20 @@ func TestParallelExecutionRaceStress(t *testing.T) {
 	if st.RowOps != int64(goroutines*10*8) {
 		t.Fatalf("RowOps = %d, want %d", st.RowOps, goroutines*10*8)
 	}
+	if want := int64(8 + goroutines*5*8); st.Copies != want { // the Fill plus 5 copies per goroutine
+		t.Fatalf("Copies = %d, want %d", st.Copies, want)
+	}
 }
 
 // armUncorrectable sets up a system whose And over six-row vectors fails at
 // row index 2 with ErrUncorrectable: an all-ones TRA fault armed on row 2's
 // subarray defeats the first TMR replica with more disagreeing bits than the
 // retry threshold, and a zero retry budget surfaces the failure immediately.
-func armUncorrectable(t *testing.T) (*System, *Bitvector, *Bitvector, *Bitvector) {
+func armUncorrectable(t *testing.T, workers int) (*System, *Bitvector, *Bitvector, *Bitvector) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Reliability = Reliability{ECC: true, MaxRetries: 0}
+	cfg.ExecWorkers = workers
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,37 +221,53 @@ func armUncorrectable(t *testing.T) (*System, *Bitvector, *Bitvector, *Bitvector
 	return sys, a, b, d
 }
 
-// TestPartialFailureAccountingSerial checks the serial path's prefix
-// semantics: a failure at row 2 leaves rows 0-1 executed, counted in RowOps,
-// and their bank time reflected in ElapsedNS.
+// TestPartialFailureAccountingSerial checks that the error path does not
+// depend on the worker count: at 1 and at 8 workers a failure at row 2 stops
+// only row 2's bank, and the outcome — RowOps, ElapsedNS, UncorrectableRows
+// and the surviving rows' contents — is the same.
 func TestPartialFailureAccountingSerial(t *testing.T) {
-	sys, a, b, d := armUncorrectable(t)
-	sys.forceSerial = true
-	sys.ResetStats()
-	err := sys.And(d, a, b)
-	if !errors.Is(err, ErrUncorrectable) {
-		t.Fatalf("And error = %v, want ErrUncorrectable", err)
+	type outcome struct {
+		stats Stats
+		data  []uint64
 	}
-	st := sys.Stats()
-	if st.RowOps != 2 {
-		t.Errorf("RowOps = %d, want 2 (completed prefix)", st.RowOps)
+	run := func(workers int) outcome {
+		sys, a, b, d := armUncorrectable(t, workers)
+		sys.ResetStats()
+		if err := sys.And(d, a, b); !errors.Is(err, ErrUncorrectable) {
+			t.Fatalf("workers=%d: And error = %v, want ErrUncorrectable", workers, err)
+		}
+		data, err := d.Read(Backdoor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{sys.Stats(), data}
 	}
-	if st.ElapsedNS <= 0 {
-		t.Errorf("ElapsedNS = %v, want > 0 (prefix time must be charged)", st.ElapsedNS)
+	one, eight := run(1), run(8)
+	for _, o := range []outcome{one, eight} {
+		if o.stats.RowOps != 5 {
+			t.Errorf("RowOps = %d, want 5 (other banks complete)", o.stats.RowOps)
+		}
+		if o.stats.UncorrectableRows != 1 {
+			t.Errorf("UncorrectableRows = %d, want 1", o.stats.UncorrectableRows)
+		}
+		if o.stats.TotalBulkOps() != 0 {
+			t.Errorf("TotalBulkOps = %d, want 0 (op failed)", o.stats.TotalBulkOps())
+		}
 	}
-	if st.UncorrectableRows != 1 {
-		t.Errorf("UncorrectableRows = %d, want 1", st.UncorrectableRows)
+	if one.stats.ElapsedNS <= 0 || one.stats.ElapsedNS != eight.stats.ElapsedNS {
+		t.Errorf("ElapsedNS = %v at 1 worker, %v at 8; want equal and > 0", one.stats.ElapsedNS, eight.stats.ElapsedNS)
 	}
-	if st.TotalBulkOps() != 0 {
-		t.Errorf("TotalBulkOps = %d, want 0 (op failed)", st.TotalBulkOps())
+	if !reflect.DeepEqual(one.data, eight.data) {
+		t.Error("destination contents differ between 1 and 8 workers")
 	}
 }
 
-// TestPartialFailureAccountingParallel checks the parallel path's per-bank
-// prefix semantics: row 2's bank fails, the other five banks complete, and
-// the merge reports the failing row with the other rows' work accounted.
+// TestPartialFailureAccountingParallel checks the per-bank prefix semantics
+// at the default worker count: row 2's bank fails, the other five banks
+// complete, and the merge reports the failing row with the other rows' work
+// accounted.
 func TestPartialFailureAccountingParallel(t *testing.T) {
-	sys, a, b, d := armUncorrectable(t)
+	sys, a, b, d := armUncorrectable(t, 0)
 	sys.ResetStats()
 	err := sys.And(d, a, b)
 	if !errors.Is(err, ErrUncorrectable) {
@@ -269,6 +301,134 @@ func TestPartialFailureAccountingParallel(t *testing.T) {
 			if got[i] != ^uint64(0) {
 				t.Fatalf("row %d word %d = %#x, want all-ones", r, i-r*wpr, got[i])
 			}
+		}
+	}
+}
+
+// directGolden is the pinned outcome of one direct-op workload: a digest
+// over its result (vector contents, or trace bytes) and Stats, plus the
+// readable figures a mismatch is usually about.
+type directGolden struct {
+	Digest         string  `json:"digest"`
+	ElapsedNS      float64 `json:"elapsed_ns"`
+	RowOps         int64   `json:"row_ops"`
+	Copies         int64   `json:"copies"`
+	InjectedFaults int64   `json:"injected_faults"`
+	CorrectedBits  int64   `json:"corrected_bits"`
+	Retries        int64   `json:"retries"`
+}
+
+func newDirectGolden(result any, st Stats) directGolden {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v|%+v", result, st)
+	return directGolden{
+		Digest:         fmt.Sprintf("%016x", h.Sum64()),
+		ElapsedNS:      st.ElapsedNS,
+		RowOps:         st.RowOps,
+		Copies:         st.Copies,
+		InjectedFaults: st.InjectedFaults,
+		CorrectedBits:  st.CorrectedBits,
+		Retries:        st.Retries,
+	}
+}
+
+// directOutcomeCases are the workloads TestDirectOutcomeGolden pins, each run
+// on a fresh System with the given worker count.
+var directOutcomeCases = []struct {
+	name string
+	run  func(t *testing.T, workers int) directGolden
+}{
+	{"faulted-vendorA-85C", func(t *testing.T, workers int) directGolden {
+		return faultedDirectGolden(t, WithExecWorkers(workers), WithFaultProfile(vendorProfile(t)), WithManyRowMaj(5))
+	}},
+	{"faulted-plain", func(t *testing.T, workers int) directGolden {
+		return faultedDirectGolden(t, WithExecWorkers(workers), WithFaultModel(goldenFaultConfig), WithManyRowMaj(3))
+	}},
+	{"faulted-plain+ecc", func(t *testing.T, workers int) directGolden {
+		return faultedDirectGolden(t, WithExecWorkers(workers), WithFaultModel(goldenFaultConfig), WithManyRowMaj(3),
+			WithReliability(Reliability{ECC: true, MaxRetries: 4}))
+	}},
+	{"exec", func(t *testing.T, workers int) directGolden {
+		sys, err := New(WithExecWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := execWorkload(t, sys)
+		return newDirectGolden(data, sys.Stats())
+	}},
+	{"traced-obs", func(t *testing.T, workers int) directGolden {
+		var buf bytes.Buffer
+		tr := NewTracer(NewJSONLSink(&buf))
+		sys, err := New(WithExecWorkers(workers), WithTracer(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		obsWorkload(t, sys)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return newDirectGolden(buf.String(), sys.Stats())
+	}},
+}
+
+// goldenFaultConfig is the plain FaultConfig the faulted scenarios and the
+// outcome goldens arm.
+var goldenFaultConfig = FaultConfig{TRABitRate: 1e-3, TRARowRate: 2e-3, DCCBitRate: 5e-4, RowVariation: 1.3, WeakColumnFraction: 0.05, Seed: 7}
+
+// faultedDirectGolden runs faultedWorkload on a System built from opts.
+func faultedDirectGolden(t *testing.T, opts ...Option) directGolden {
+	t.Helper()
+	sys, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := faultedWorkload(t, sys)
+	st := sys.Stats()
+	if st.InjectedFaults == 0 {
+		t.Fatal("workload drew no faults; the golden is vacuous")
+	}
+	return newDirectGolden(data, st)
+}
+
+// TestDirectOutcomeGolden pins the exact outcome of the direct-op workloads
+// — faulted (raised vendorA-85C profile, plain FaultConfig, plain+ECC),
+// plain, and traced — at workers 1, 2 and 8: the worker-count differentials
+// prove determinism, this proves the outcome itself does not move.  Run with
+// -update to rewrite testdata/direct_outcomes.json after an intentional
+// change.
+func TestDirectOutcomeGolden(t *testing.T) {
+	got := map[string]directGolden{}
+	for _, c := range directOutcomeCases {
+		for _, workers := range []int{1, 2, 8} {
+			g := c.run(t, workers)
+			if prev, ok := got[c.name]; ok && prev != g {
+				t.Errorf("%s: workers=%d outcome %+v differs from workers=1 %+v", c.name, workers, g, prev)
+			}
+			got[c.name] = g
+		}
+	}
+	path := filepath.Join("testdata", "direct_outcomes.json")
+	if *updateGolden {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run TestDirectOutcomeGolden -update` to create)", err)
+	}
+	var want map[string]directGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range directOutcomeCases {
+		if got[c.name] != want[c.name] {
+			t.Errorf("%s: outcome %+v, golden %+v", c.name, got[c.name], want[c.name])
 		}
 	}
 }

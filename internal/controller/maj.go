@@ -130,7 +130,8 @@ func (c *Controller) ExecuteMaj(bank, sub int, dk dram.RowAddr, srcs []dram.RowA
 
 	// Many-row train: simultaneous ACTIVATE of the staged block, copy into
 	// dk, precharge.
-	staged := make([]int, w)
+	var stagedBuf [dram.MaxSimultaneousWordlines]int // ActivateManyLocal does not keep rows
+	staged := stagedBuf[:w]
 	for i := range staged {
 		staged[i] = scratchBase + i
 	}

@@ -72,7 +72,7 @@ func (e *Engine) UnlockBanks(banks []int) {
 
 // Group is the work of one operation on one bank: the row indices
 // (positions in the address list the plan was built from, not DRAM rows)
-// that live there.
+// that live there.  A PlanStream group has Bank -1.
 type Group struct {
 	Bank int
 	Rows []int

@@ -90,6 +90,26 @@ func TestGroupByBank(t *testing.T) {
 	empty.Release()
 }
 
+// TestPlanStream checks the single-stream plan: one bankless group holding
+// every row in ascending order, no banks to lock, and — however many
+// workers the engine has — one RunGroup call, with the usual merge.
+func TestPlanStream(t *testing.T) {
+	e := New(4, 8)
+	p := e.PlanStream(5)
+	if len(p.Banks()) != 0 {
+		t.Fatalf("banks = %v, want none", p.Banks())
+	}
+	r := &recordRunner{ran: map[int]bool{}, fail: map[int]bool{3: true}, err: errors.New("boom")}
+	res := e.RunPlan(p, r)
+	p.Release()
+	if want := []Group{{Bank: -1, Rows: []int{0, 1, 2, 3, 4}}}; !reflect.DeepEqual(r.calls, want) {
+		t.Fatalf("RunGroup calls = %+v, want %+v", r.calls, want)
+	}
+	if res.Completed != 3 || res.ErrRow != 3 || res.Err == nil {
+		t.Fatalf("RunPlan = %+v, want rows 0-2 completed, failure at row 3", res)
+	}
+}
+
 // TestRunMatchesSequential checks the parallel merge against a sequential
 // fold for several worker counts.
 func TestRunMatchesSequential(t *testing.T) {

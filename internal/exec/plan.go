@@ -111,6 +111,30 @@ func (e *Engine) PlanAddrs(addrs []dram.PhysAddr) *Plan {
 	return p
 }
 
+// PlanStream returns a pooled Plan holding row indices 0..n-1 as one group
+// bound to no bank (Group.Bank is -1): RunPlan runs them in ascending order
+// on the calling goroutine, and Banks is empty, so there are no shards to
+// lock.  It serves work whose rows may each touch two banks — a cross-bank
+// RowClone copy — for which the caller must hold exclusive access to the
+// device instead.
+func (e *Engine) PlanStream(n int) *Plan {
+	p := planPool.Get().(*Plan)
+	p.banks = p.banks[:0]
+	if cap(p.rowIdx) < n {
+		p.rowIdx = make([]int, n)
+	}
+	p.rowIdx = p.rowIdx[:n]
+	for i := range p.rowIdx {
+		p.rowIdx[i] = i
+	}
+	p.groups = append(p.groups[:0], Group{Bank: -1, Rows: p.rowIdx})
+	if cap(p.results) < 1 {
+		p.results = make([]GroupResult, 1)
+	}
+	p.results = p.results[:1]
+	return p
+}
+
 // Banks returns the plan's ascending, duplicate-free bank set, in the form
 // LockBanks expects.  The slice is owned by the plan.
 func (p *Plan) Banks() []int { return p.banks }

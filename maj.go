@@ -1,10 +1,6 @@
 package ambit
 
-import (
-	"fmt"
-
-	"ambit/internal/dram"
-)
+import "fmt"
 
 // Many-row majority: the MAJ-X primitive of the 2024 simultaneous-activation
 // characterization papers, surfaced as a first-class System operation.  Each
@@ -37,11 +33,6 @@ func (s *System) Maj(dst *Bitvector, srcs ...*Bitvector) error {
 // operation's own injections when requests serialize, and a conserved blend
 // under concurrent clients (the same caveat as span energy attribution).
 func (s *System) majTagged(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.majSerial(tag, dst, srcs)
-	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
 	if err := s.checkMajOperands(dst, srcs); err != nil {
@@ -50,7 +41,7 @@ func (s *System) majTagged(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
 	run := getOpRunner(s, runMaj, tag)
 	run.dst = dst
 	run.srcs = append(run.srcs, srcs...)
-	return s.dispatch(run, dst.rows, int64(len(dst.rows))*int64(len(srcs)+1))
+	return s.dispatch(run, s.eng.PlanAddrs(dst.rows), len(dst.rows), int64(len(dst.rows))*int64(len(srcs)+1))
 }
 
 // majFaultsBefore snapshots the fault model's many-row injection counters
@@ -72,8 +63,8 @@ func (s *System) majFaultsCommit(tag Tag, events, bits int64) {
 }
 
 // checkMajOperands validates operand liveness, arity, distinctness, and
-// row-for-row co-location for one Maj call.  The caller holds execMu (read
-// or exclusive).
+// row-for-row co-location for one Maj call.  The caller holds execMu for
+// reading.
 func (s *System) checkMajOperands(dst *Bitvector, srcs []*Bitvector) error {
 	if s.cfg.MaxMajInputs <= 0 {
 		return fmt.Errorf("ambit: Maj: many-row majority is disabled (set Config.MaxMajInputs / WithManyRowMaj)")
@@ -82,7 +73,10 @@ func (s *System) checkMajOperands(dst *Bitvector, srcs []*Bitvector) error {
 	if k < 3 || k%2 == 0 || k > s.cfg.MaxMajInputs {
 		return fmt.Errorf("ambit: Maj: source count must be odd in [3,%d], got %d", s.cfg.MaxMajInputs, k)
 	}
-	if err := s.checkOperands("Maj", append([]*Bitvector{dst}, srcs...)...); err != nil {
+	if err := s.checkOperands("Maj", dst); err != nil {
+		return err
+	}
+	if err := s.checkOperands("Maj", srcs...); err != nil {
 		return err
 	}
 	for i, a := range srcs {
@@ -94,61 +88,6 @@ func (s *System) checkMajOperands(dst *Bitvector, srcs []*Bitvector) error {
 				return fmt.Errorf("ambit: Maj: duplicate source vector (a repeated operand would weight the majority; copy it first)")
 			}
 		}
-	}
-	return nil
-}
-
-// majRowAddrs collects the per-row controller arguments for row r.
-func majRowAddrs(dst *Bitvector, srcs []*Bitvector, r int, buf []dram.RowAddr) (da dram.PhysAddr, srcRows []dram.RowAddr) {
-	da = dst.rows[r]
-	srcRows = buf[:0]
-	for _, a := range srcs {
-		srcRows = append(srcRows, a.rows[r].Row)
-	}
-	return da, srcRows
-}
-
-// majSerial is the exclusive-lock path; the caller holds execMu exclusively.
-func (s *System) majSerial(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
-	if err := s.checkMajOperands(dst, srcs); err != nil {
-		return err
-	}
-	rows := int64(len(dst.rows)) * int64(len(srcs)+1)
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	fmEvents, fmBits, fmAttr := s.majFaultsBefore(tag)
-	opStart := s.stats.ElapsedNS
-	start := s.stats.ElapsedNS + s.coherenceNS(rows)
-
-	end := start
-	buf := make([]dram.RowAddr, 0, len(srcs))
-	for r := range dst.rows {
-		da, srcRows := majRowAddrs(dst, srcs, r, buf)
-		lat, err := s.ctrl.ExecuteMaj(da.Bank, da.Subarray, da.Row, srcRows, s.majScratchBase, s.majW)
-		if err != nil {
-			// Partial failure: the completed prefix [0, r) reserved bank
-			// time; the clock advances to its end (see applySerial).
-			s.stats.ElapsedNS = end
-			s.stats.RowOps += int64(r)
-			return fmt.Errorf("ambit: Maj row %d: %w", r, err)
-		}
-		done := s.dev.Bank(da.Bank).Reserve(start, lat)
-		s.utilRecord(tag, da.Bank, done, lat)
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.MajOps++
-	s.stats.RowOps += int64(len(dst.rows))
-	if fmAttr {
-		s.majFaultsCommit(tag, fmEvents, fmBits)
-	}
-	if observing {
-		s.observeOp(tag, "maj", -1, len(dst.rows), opStart, end-opStart, devBefore)
 	}
 	return nil
 }

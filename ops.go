@@ -1,12 +1,12 @@
 package ambit
 
 import (
-	"errors"
 	"fmt"
 
 	"ambit/internal/controller"
 	"ambit/internal/dram"
 	"ambit/internal/ecc"
+	"ambit/internal/exec"
 )
 
 // checkOperands validates that every operand is non-nil, belongs to this
@@ -51,7 +51,7 @@ func (s *System) coherenceNS(rows int64) float64 {
 }
 
 // checkApplyOperands validates operand liveness and shape for one bulk op.
-// The caller holds execMu (read or exclusive).
+// The caller holds execMu for reading.
 func (s *System) checkApplyOperands(op controller.Op, dst, a, b *Bitvector) error {
 	// Two fixed-arity variadic calls instead of one built-up slice: the
 	// argument slices stay on the stack, keeping the direct-op path at zero
@@ -75,21 +75,17 @@ func (s *System) checkApplyOperands(op controller.Op, dst, a, b *Bitvector) erro
 // operands share a (bank, subarray) slot by the allocator's construction, so
 // every row-level operation is a pure Figure-8 command train; rows mapped to
 // different banks execute in parallel (Section 7's bank-level parallelism),
-// dispatched through the shared execution core (internal/exec).  The
-// parallel and serial paths are deterministic equals: identical results,
-// identical Stats.
+// dispatched through the shared execution core (internal/exec).  Results and
+// Stats are identical at every worker count.
 func (s *System) apply(op controller.Op, dst, a, b *Bitvector) error {
 	return s.applyTagged(Tag{}, op, dst, a, b)
 }
 
 // applyTagged is apply with a request tag: the tag flows to the op span, the
 // utilization collector, and the reliability commit points (tag.go).
+// Coherence: flush the source rows; the destination invalidation proceeds
+// in parallel with the operation (Section 5.4.4).
 func (s *System) applyTagged(tag Tag, op controller.Op, dst, a, b *Bitvector) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.applySerial(tag, op, dst, a, b)
-	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
 	if err := s.checkApplyOperands(op, dst, a, b); err != nil {
@@ -97,100 +93,14 @@ func (s *System) applyTagged(tag Tag, op controller.Op, dst, a, b *Bitvector) er
 	}
 	run := getOpRunner(s, runBulk, tag)
 	run.op, run.dst, run.a, run.b, run.ecc = op, dst, a, b, s.cfg.Reliability.ECC
-	return s.dispatch(run, dst.rows, int64(len(dst.rows))*int64(op.InputRows()))
-}
-
-// applySerial is the exclusive-lock path: the forceSerial test hook and the
-// determinism baseline the differential tests compare the parallel path
-// against (fault models included — per-(bank, subarray) RNG streams make the
-// two paths draw identically).  The caller holds execMu exclusively.
-func (s *System) applySerial(tag Tag, op controller.Op, dst, a, b *Bitvector) error {
-	if err := s.checkApplyOperands(op, dst, a, b); err != nil {
-		return err
-	}
-	// Cache coherence: flush dirty source lines, invalidate destination
-	// lines (Section 5.4.4).  Destination invalidation proceeds in
-	// parallel with the operation; source flushes precede it.
-	rows := int64(len(dst.rows)) * int64(op.InputRows())
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := s.stats.ElapsedNS + s.coherenceNS(rows)
-
-	end := start
-	for r := range dst.rows {
-		da, aa := dst.rows[r], a.rows[r]
-		var ba dram.RowAddr
-		if !op.Unary() {
-			ba = b.rows[r].Row
-		}
-		var done float64
-		if s.cfg.Reliability.ECC {
-			rr, err := s.execRowReliable(op, da, aa.Row, ba)
-			s.accountReliabilityLocked(tag, da, rr)
-			if err != nil {
-				if errors.Is(err, ErrUncorrectable) {
-					s.stats.UncorrectableRows++
-					if m := s.cfg.Metrics; m != nil {
-						m.Add("uncorrectable_rows", 1)
-					}
-					s.addLabeledNS(tag, "uncorrectable_rows", 1)
-				}
-				// Partial failure: rows before r completed and reserved
-				// bank time; account the completed prefix (see below).
-				s.stats.ElapsedNS = end
-				s.stats.RowOps += int64(r)
-				return fmt.Errorf("ambit: %v row %d: %w", op, r, err)
-			}
-			done = s.dev.Bank(da.Bank).Reserve(start, rr.LatencyNS)
-			s.utilRecord(tag, da.Bank, done, rr.LatencyNS)
-		} else {
-			var err error
-			done, err = s.scheduleRow(tag, op, da, aa.Row, ba, start)
-			if err != nil {
-				// Partial failure: the completed prefix [0, r) already
-				// reserved bank time, so the clock must advance to its
-				// end (and RowOps count it) even though the op failed.
-				s.stats.ElapsedNS = end
-				s.stats.RowOps += int64(r)
-				return fmt.Errorf("ambit: %v row %d: %w", op, r, err)
-			}
-		}
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.BulkOps[op]++
-	s.stats.RowOps += int64(len(dst.rows))
-	if observing {
-		s.observeOp(tag, op.String(), -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
-}
-
-// scheduleRow executes one row-level command train, reserves the bank's
-// timeline from `start`, and records the busy interval into the utilization
-// collector.  Semantically controller.ScheduleOp, inlined so the per-row
-// latency reaches the collector.
-func (s *System) scheduleRow(tag Tag, op controller.Op, da dram.PhysAddr, aRow, bRow dram.RowAddr, start float64) (float64, error) {
-	lat, err := s.ctrl.ExecuteOp(op, da.Bank, da.Subarray, da.Row, aRow, bRow)
-	if err != nil {
-		return 0, err
-	}
-	done := s.dev.Bank(da.Bank).Reserve(start, lat)
-	s.utilRecord(tag, da.Bank, done, lat)
-	return done, nil
+	return s.dispatch(run, s.eng.PlanAddrs(dst.rows), len(dst.rows), int64(len(dst.rows))*int64(op.InputRows()))
 }
 
 // execRowReliable runs one row-level command train under the TMR
 // execute-verify-retry policy (DESIGN.md "Reliability model"), using the two
 // reserved per-subarray scratch rows as replica space and internal/ecc's
-// majority vote as the decoder.  The caller holds execMu (exclusively, or
-// for reading plus the destination's bank shard).
+// majority vote as the decoder.  The caller holds execMu for reading plus
+// the destination's bank shard.
 func (s *System) execRowReliable(op controller.Op, da dram.PhysAddr, aRow, bRow dram.RowAddr) (controller.RowResult, error) {
 	s1, s2 := s.scratchRows()
 	return s.ctrl.ExecuteOpReliable(op, da.Bank, da.Subarray, da.Row, aRow, bRow, s1, s2, s.cfg.Reliability, ecc.VoteRows)
@@ -200,8 +110,7 @@ func (s *System) execRowReliable(op controller.Op, da dram.PhysAddr, aRow, bRow 
 // stats and the quarantine score of the destination row, and — when the
 // operation carries a tenant tag — into the per-namespace labeled shadow
 // counters, so ECC corrections and retries are attributable to the workload
-// that incurred them.  The caller holds execMu exclusively, or statsMu on
-// the parallel path.
+// that incurred them.  The caller holds statsMu.
 func (s *System) accountReliabilityLocked(tag Tag, da dram.PhysAddr, rr controller.RowResult) {
 	s.stats.CorrectedBits += rr.CorrectedBits
 	s.stats.Retries += rr.Retries
@@ -258,79 +167,58 @@ func (s *System) Apply(op controller.Op, dst, a, b *Bitvector) error { return s.
 // are co-located (the normal case under this allocator), PSM otherwise.
 func (s *System) Copy(dst, src *Bitvector) error { return s.copyTagged(Tag{}, dst, src) }
 
-// copyTagged is Copy with a request tag.
+// copyTagged is Copy with a request tag.  Coherence: flush the source rows
+// and invalidate the destination rows.  Unlike a bulk bitwise train (which
+// buffers through the B-group first), RowClone writes the destination in its
+// very first command, so the destination invalidation cannot be hidden
+// behind the operation (Section 5.4.4; DESIGN.md "Coherence model").
 func (s *System) copyTagged(tag Tag, dst, src *Bitvector) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.copySerial(tag, dst, src)
-	}
 	s.execMu.RLock()
-	// A cross-bank row pair (PSM copy through the channel) touches two
-	// banks per train; the parallel path shards by destination bank only,
-	// so such copies fall back to the exclusive path.
-	if err := s.checkOperands("Copy", dst, src); err != nil {
+	cross, err := s.checkCopyOperands(dst, src)
+	if err != nil {
 		s.execMu.RUnlock()
 		return err
 	}
-	if len(dst.rows) != len(src.rows) {
+	var plan *exec.Plan
+	if cross {
+		// A cross-bank row pair (a PSM copy through the channel) touches
+		// two banks in one train, but bank shards are taken by destination
+		// bank.  The copy upgrades to the exclusive lock, which keeps every
+		// other operation off both banks, and runs its rows as one stream
+		// on this goroutine.  Free may run between the two locks, so the
+		// operands are validated again.
 		s.execMu.RUnlock()
-		return fmt.Errorf("ambit: Copy: %w (%d vs %d rows)", ErrShapeMismatch, len(dst.rows), len(src.rows))
+		s.execMu.Lock()
+		defer s.execMu.Unlock()
+		if _, err := s.checkCopyOperands(dst, src); err != nil {
+			return err
+		}
+		plan = s.eng.PlanStream(len(dst.rows))
+	} else {
+		defer s.execMu.RUnlock()
+		plan = s.eng.PlanAddrs(dst.rows)
+	}
+	run := getOpRunner(s, runCopy, tag)
+	run.dst, run.a = dst, src
+	return s.dispatch(run, plan, len(dst.rows), 2*int64(len(dst.rows)))
+}
+
+// checkCopyOperands validates operand liveness and shape for one Copy and
+// reports whether any row pair crosses banks.  The caller holds execMu (read
+// or exclusive).
+func (s *System) checkCopyOperands(dst, src *Bitvector) (crossBank bool, err error) {
+	if err := s.checkOperands("Copy", dst, src); err != nil {
+		return false, err
+	}
+	if len(dst.rows) != len(src.rows) {
+		return false, fmt.Errorf("ambit: Copy: %w (%d vs %d rows)", ErrShapeMismatch, len(dst.rows), len(src.rows))
 	}
 	for r := range dst.rows {
 		if dst.rows[r].Bank != src.rows[r].Bank {
-			s.execMu.RUnlock()
-			s.execMu.Lock()
-			defer s.execMu.Unlock()
-			return s.copySerial(tag, dst, src)
+			return true, nil
 		}
 	}
-	defer s.execMu.RUnlock()
-	run := getOpRunner(s, runCopy, tag)
-	run.dst, run.a = dst, src
-	return s.dispatch(run, dst.rows, 2*int64(len(dst.rows)))
-}
-
-// copySerial is Copy's exclusive-lock path; the caller holds execMu.
-func (s *System) copySerial(tag Tag, dst, src *Bitvector) error {
-	if err := s.checkOperands("Copy", dst, src); err != nil {
-		return err
-	}
-	if len(dst.rows) != len(src.rows) {
-		return fmt.Errorf("ambit: Copy: %w (%d vs %d rows)", ErrShapeMismatch, len(dst.rows), len(src.rows))
-	}
-	// Coherence: flush the source rows and invalidate the destination
-	// rows.  Unlike a bulk bitwise train (which buffers through the
-	// B-group first), RowClone writes the destination in its very first
-	// command, so the destination invalidation cannot be hidden behind
-	// the operation (Section 5.4.4; DESIGN.md "Coherence model").
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := s.stats.ElapsedNS + s.coherenceNS(2*int64(len(dst.rows)))
-	end := start
-	for r := range dst.rows {
-		_, lat, err := s.rc.Copy(src.rows[r], dst.rows[r])
-		if err != nil {
-			s.stats.ElapsedNS = end
-			s.stats.Copies += int64(r)
-			return fmt.Errorf("ambit: Copy row %d: %w", r, err)
-		}
-		done := s.dev.Bank(dst.rows[r].Bank).Reserve(start, lat)
-		s.utilRecord(tag, dst.rows[r].Bank, done, lat)
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.Copies += int64(len(dst.rows))
-	if observing {
-		s.observeOp(tag, "copy", -1, len(dst.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
+	return false, nil
 }
 
 // Fill sets every bit of v to the given value using RowClone from the
@@ -338,13 +226,10 @@ func (s *System) copySerial(tag Tag, dst, src *Bitvector) error {
 // of Section 8.4.2 and the row-initialization primitive of Section 3.4.
 func (s *System) Fill(v *Bitvector, bit bool) error { return s.fillTagged(Tag{}, v, bit) }
 
-// fillTagged is Fill with a request tag.
+// fillTagged is Fill with a request tag.  Coherence: invalidate the
+// destination rows; the control-row source lives only in DRAM and needs no
+// flush (DESIGN.md "Coherence model").
 func (s *System) fillTagged(tag Tag, v *Bitvector, bit bool) error {
-	if s.serialOnly() {
-		s.execMu.Lock()
-		defer s.execMu.Unlock()
-		return s.fillSerial(tag, v, bit)
-	}
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
 	if err := s.checkOperands("Fill", v); err != nil {
@@ -352,49 +237,7 @@ func (s *System) fillTagged(tag Tag, v *Bitvector, bit bool) error {
 	}
 	run := getOpRunner(s, runFill, tag)
 	run.dst, run.fill = v, bit
-	return s.dispatch(run, v.rows, int64(len(v.rows)))
-}
-
-// fillSerial is Fill's exclusive-lock path; the caller holds execMu.
-func (s *System) fillSerial(tag Tag, v *Bitvector, bit bool) error {
-	if err := s.checkOperands("Fill", v); err != nil {
-		return err
-	}
-	// Coherence: invalidate the destination rows; the control-row source
-	// lives only in DRAM and needs no flush (DESIGN.md "Coherence model").
-	observing := s.observing()
-	var devBefore dram.Stats
-	if observing {
-		devBefore = s.dev.Stats()
-	}
-	opStart := s.stats.ElapsedNS
-	start := s.stats.ElapsedNS + s.coherenceNS(int64(len(v.rows)))
-	end := start
-	for r, addr := range v.rows {
-		var lat float64
-		var err error
-		if bit {
-			lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
-		} else {
-			lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
-		}
-		if err != nil {
-			s.stats.ElapsedNS = end
-			s.stats.Copies += int64(r)
-			return fmt.Errorf("ambit: Fill: %w", err)
-		}
-		done := s.dev.Bank(addr.Bank).Reserve(start, lat)
-		s.utilRecord(tag, addr.Bank, done, lat)
-		if done > end {
-			end = done
-		}
-	}
-	s.stats.ElapsedNS = end
-	s.stats.Copies += int64(len(v.rows))
-	if observing {
-		s.observeOp(tag, "fill", -1, len(v.rows), opStart, end-opStart, devBefore)
-	}
-	return nil
+	return s.dispatch(run, s.eng.PlanAddrs(v.rows), len(v.rows), int64(len(v.rows)))
 }
 
 // Popcount counts the set bits of v on the CPU: the vector streams over the

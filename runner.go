@@ -84,18 +84,20 @@ var trainPool = sync.Pool{New: func() any { return new([]controller.RowTrain) }}
 // compiled-func groups.
 var rowAddrPool = sync.Pool{New: func() any { return new([]dram.RowAddr) }}
 
-// dispatch runs one direct operation: the coherence charge, then the rows
-// of addrs grouped by bank, each bank's trains on one worker of the
-// execution engine under its shard lock, with command events captured per
-// bank and merged into serial order (obs.ShardSet); then the deterministic
-// merge and the stats commit.  A single-client traced run is byte-identical
-// to the serial path.  run carries the operands, the kind and the tag;
-// dispatch returns it to the pool.  The caller holds execMu for reading and
-// has validated the operands.
+// dispatch runs one direct operation: the coherence charge for
+// coherenceRows, then plan's bank groups, each bank's trains on one worker of
+// the execution engine under its shard lock, with command events captured
+// per bank and merged into row order (obs.ShardSet); then the deterministic
+// merge and the stats commit.  Results, Stats and trace bytes are the same
+// at every worker count.  rows is the operation's row count, for its span.
+// run carries the operands, the kind and the tag; dispatch returns it and
+// the plan to their pools.  The caller has validated the operands and holds
+// execMu: for reading with a PlanAddrs plan, exclusively with a PlanStream
+// plan (whose single bankless group runs on this goroutine).
 //
 // Per-bank prefix semantics: a failing bank stops at its failing row, other
 // banks complete theirs, and the clock and row counters account what ran.
-func (s *System) dispatch(run *opRunner, addrs []dram.PhysAddr, coherenceRows int64) error {
+func (s *System) dispatch(run *opRunner, plan *exec.Plan, rows int, coherenceRows int64) error {
 	tag := run.tag
 	observing := s.observing()
 	var fmEvents, fmBits int64
@@ -112,7 +114,6 @@ func (s *System) dispatch(run *opRunner, addrs []dram.PhysAddr, coherenceRows in
 	start := opStart + s.coherenceNS(coherenceRows)
 	s.statsMu.Unlock()
 
-	plan := s.eng.PlanAddrs(addrs)
 	banks := plan.Banks()
 	s.eng.LockBanks(banks)
 	run.start, run.ss = start, s.cfg.Tracer.BeginShards(banks)
@@ -157,7 +158,7 @@ func (s *System) dispatch(run *opRunner, addrs []dram.PhysAddr, coherenceRows in
 	switch {
 	case res.Err == nil:
 		if observing {
-			s.observeOp(tag, run.spanName(), -1, len(addrs), opStart, end-opStart, devBefore)
+			s.observeOp(tag, run.spanName(), -1, rows, opStart, end-opStart, devBefore)
 		}
 	case run.kind == runBulk:
 		err = fmt.Errorf("ambit: %v row %d: %w", run.op, res.ErrRow, res.Err)
@@ -174,8 +175,7 @@ func (s *System) dispatch(run *opRunner, addrs []dram.PhysAddr, coherenceRows in
 	return err
 }
 
-// spanName is the operation's metric and span label, matching the serial
-// paths'.
+// spanName is the operation's metric and span label.
 func (r *opRunner) spanName() string {
 	switch r.kind {
 	case runBulk:
@@ -209,6 +209,16 @@ func (r *opRunner) RunGroup(bank int, rows []int) exec.GroupResult {
 	}
 }
 
+// finishRow books one completed row's train of latency lat on bank: it
+// reserves the bank's timeline from the operation's start, records the busy
+// interval for the utilization collector, and folds the row into res.
+func (r *opRunner) finishRow(res *exec.GroupResult, bank int, lat float64) {
+	done := r.s.dev.Bank(bank).Reserve(r.start, lat)
+	r.s.utilRecord(r.tag, bank, done, lat)
+	res.Completed++
+	res.EndNS = max(res.EndNS, done)
+}
+
 // runBulkGroup runs one bank group of a bulk bitwise op.  Untraced,
 // non-ECC groups take the multi-row fused path; everything else (and any
 // group the fused dispatch rejects) falls back to the row-at-a-time body,
@@ -233,15 +243,9 @@ func (r *opRunner) runBulkGroup(bank int, rows []int) exec.GroupResult {
 		*tp = trains[:0]
 		trainPool.Put(tp)
 		if ok {
-			bk := s.dev.Bank(bank)
 			for range rows {
-				done := bk.Reserve(r.start, lat)
-				s.utilRecord(r.tag, bank, done, lat)
-				if done > res.EndNS {
-					res.EndNS = done
-				}
+				r.finishRow(&res, bank, lat)
 			}
-			res.Completed = len(rows)
 			return res
 		}
 	}
@@ -252,51 +256,39 @@ func (r *opRunner) runBulkGroup(bank int, rows []int) exec.GroupResult {
 		if !unary {
 			ba = r.b.rows[row].Row
 		}
-		var done float64
+		var lat float64
+		var err error
 		if r.ecc {
-			rr, err := s.execRowReliable(op, da, aa.Row, ba)
+			var rr controller.RowResult
+			rr, err = s.execRowReliable(op, da, aa.Row, ba)
 			s.statsMu.Lock()
 			s.accountReliabilityLocked(r.tag, da, rr)
 			s.statsMu.Unlock()
-			if err != nil {
-				res.Err, res.ErrRow = err, row
-				return res
-			}
-			done = s.dev.Bank(da.Bank).Reserve(r.start, rr.LatencyNS)
-			s.utilRecord(r.tag, da.Bank, done, rr.LatencyNS)
+			lat = rr.LatencyNS
 		} else {
-			var err error
-			done, err = s.scheduleRow(r.tag, op, da, aa.Row, ba, r.start)
-			if err != nil {
-				res.Err, res.ErrRow = err, row
-				return res
-			}
+			lat, err = s.ctrl.ExecuteOp(op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
 		}
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
-	}
-	return res
-}
-
-// runCopyGroup runs one bank group of a RowClone copy (src in r.a).
-func (r *opRunner) runCopyGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		_, lat, err := s.rc.Copy(r.a.rows[row], r.dst.rows[row])
 		if err != nil {
 			res.Err, res.ErrRow = err, row
 			return res
 		}
-		done := s.dev.Bank(r.dst.rows[row].Bank).Reserve(r.start, lat)
-		s.utilRecord(r.tag, r.dst.rows[row].Bank, done, lat)
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
+		r.finishRow(&res, da.Bank, lat)
+	}
+	return res
+}
+
+// runCopyGroup runs one bank group of a RowClone copy (src in r.a).  A
+// PlanStream group (bank -1) books each row on its destination's bank.
+func (r *opRunner) runCopyGroup(bank int, rows []int) exec.GroupResult {
+	res := exec.GroupResult{ErrRow: -1}
+	for _, row := range rows {
+		r.ss.SetRow(bank, row)
+		_, lat, err := r.s.rc.Copy(r.a.rows[row], r.dst.rows[row])
+		if err != nil {
+			res.Err, res.ErrRow = err, row
+			return res
 		}
+		r.finishRow(&res, r.dst.rows[row].Bank, lat)
 	}
 	return res
 }
@@ -319,12 +311,7 @@ func (r *opRunner) runFillGroup(bank int, rows []int) exec.GroupResult {
 			res.Err, res.ErrRow = err, row
 			return res
 		}
-		done := s.dev.Bank(addr.Bank).Reserve(r.start, lat)
-		s.utilRecord(r.tag, addr.Bank, done, lat)
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
+		r.finishRow(&res, addr.Bank, lat)
 	}
 	return res
 }
@@ -349,12 +336,7 @@ func (r *opRunner) runFuncGroup(bank int, rows []int) exec.GroupResult {
 			res.Err, res.ErrRow = err, row
 			break
 		}
-		done := s.dev.Bank(da.Bank).Reserve(r.start, lat)
-		s.utilRecord(r.tag, da.Bank, done, lat)
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
+		r.finishRow(&res, da.Bank, lat)
 	}
 	*bp = buf
 	rowAddrPool.Put(bp)
@@ -367,24 +349,22 @@ func (r *opRunner) runMajGroup(bank int, rows []int) exec.GroupResult {
 	s := r.s
 	res := exec.GroupResult{ErrRow: -1}
 	bp := rowAddrPool.Get().(*[]dram.RowAddr)
-	buf := *bp
+	srcRows := (*bp)[:0]
 	for _, row := range rows {
 		r.ss.SetRow(bank, row)
-		da, srcRows := majRowAddrs(r.dst, r.srcs, row, buf)
-		buf = srcRows // keep any growth for the next row
+		da := r.dst.rows[row]
+		srcRows = srcRows[:0] // keep any growth for the next row
+		for _, a := range r.srcs {
+			srcRows = append(srcRows, a.rows[row].Row)
+		}
 		lat, err := s.ctrl.ExecuteMaj(da.Bank, da.Subarray, da.Row, srcRows, s.majScratchBase, s.majW)
 		if err != nil {
 			res.Err, res.ErrRow = err, row
 			break
 		}
-		done := s.dev.Bank(da.Bank).Reserve(r.start, lat)
-		s.utilRecord(r.tag, da.Bank, done, lat)
-		res.Completed++
-		if done > res.EndNS {
-			res.EndNS = done
-		}
+		r.finishRow(&res, da.Bank, lat)
 	}
-	*bp = buf[:0]
+	*bp = srcRows[:0]
 	rowAddrPool.Put(bp)
 	return res
 }
