@@ -1,17 +1,17 @@
 package ambit
 
-// The alias matrix pins down the word-parallel fused kernels
-// (internal/controller/fused.go) under every operand-aliasing pattern the
+// The alias matrix pins down the op trains' net-effect evaluation
+// (internal/controller/net.go) under every operand-aliasing pattern the
 // public API admits.  dst, a, and b may name the same Bitvector in any
-// combination; at the row level the fused evaluator then sees dk == di,
+// combination; at the row level the evaluator then sees dk == di,
 // dk == dj, or di == dj and must still compute dst = op(a, b) over the
 // PRE-operation source values, exactly as the stepwise command trains do
 // (the train AAPs both sources into the TRA group before the destination
 // row is written back).
 //
 // Every cell of the matrix runs the op at 1 worker (the reference) and at 2,
-// 4 and 8 workers, under three configurations: untraced (fused fast path),
-// traced (per-command events force the stepwise engine), and fault-armed
+// 4 and 8 workers, under three configurations: untraced (multi-row fused
+// path), traced (per-row execution with event replay), and fault-armed
 // (an injector makes ExecuteOpRowsFused reject the train, exercising the
 // in-op stepwise fallback).  Contents and Stats must be bit-identical across
 // worker counts, and for the fault-free configurations the destination must

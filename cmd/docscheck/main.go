@@ -20,6 +20,9 @@
 //     `Fuzz…`, up to any `/`) and every name in a `-run '…'` pattern of the
 //     CI workflow must be declared in some _test.go file: `go test -run`
 //     with a pattern naming a deleted test runs nothing and still passes.
+//   - every Go file those files cite (a backticked `….go`) must exist: a
+//     path containing `/` resolves from the repository root, and a bare
+//     name must be the name of some .go file in the repository.
 //
 // Usage:
 //
@@ -59,6 +62,7 @@ func main() {
 	}
 	violations = append(violations, checkArchitectureTree("README.md", "internal")...)
 	violations = append(violations, checkTestNames(".", markdownFiles, ciWorkflow)...)
+	violations = append(violations, checkGoFiles(".", markdownFiles)...)
 
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -363,6 +367,52 @@ func checkTestNames(root string, docs []string, ci string) []string {
 		for _, name := range strings.Split(m[1], "|") {
 			if name = strings.Trim(name, "^$"); name != "" {
 				check(ci, name)
+			}
+		}
+	}
+	return out
+}
+
+// goFileRe matches a backticked Go file name or path in prose.
+var goFileRe = regexp.MustCompile("`([A-Za-z0-9_./-]+\\.go)`")
+
+// checkGoFiles reports every Go file the docs cite that does not exist.  A
+// cited path containing "/" resolves from root; a bare name must be the name
+// of some .go file under root, hidden directories aside.
+func checkGoFiles(root string, docs []string) []string {
+	names := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root:
+			return filepath.SkipDir
+		case strings.HasSuffix(path, ".go"):
+			names[d.Name()] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return []string{fmt.Sprintf("walking %s: %v", root, err)}
+	}
+	var out []string
+	for _, md := range docs {
+		data, err := os.ReadFile(filepath.Join(root, md))
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", md, err))
+			continue
+		}
+		reported := map[string]bool{}
+		for _, m := range goFileRe.FindAllStringSubmatch(string(data), -1) {
+			cited := m[1]
+			found := names[cited]
+			if strings.Contains(cited, "/") {
+				_, err := os.Stat(filepath.Join(root, cited))
+				found = err == nil
+			}
+			if !found && !reported[cited] {
+				reported[cited] = true
+				out = append(out, fmt.Sprintf("%s: cites %s, which does not exist", md, cited))
 			}
 		}
 	}

@@ -77,3 +77,36 @@ func TestCheckTestNames(t *testing.T) {
 		t.Errorf("violations = %q, want %q", got, want)
 	}
 }
+
+// TestCheckGoFiles: a cited path resolves from the root and a bare name must
+// name some .go file, outside hidden directories; each missing citation is
+// reported once per document.
+func TestCheckGoFiles(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, text string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/pkg/net.go", "package pkg\n")
+	write("cmd/tool/main.go", "package main\n")
+	write(".cache/mod/hidden.go", "package mod\n")
+	write("README.md", "See `internal/pkg/net.go`, `net.go` and `main.go`; `internal/pkg/compiled.go` "+
+		"and `compiled.go` were deleted, `hidden.go` is cached and `net.go` is cited twice.\n")
+	write("DESIGN.md", "`internal/pkg/main.go` is in cmd/tool; run `go test ./...`.\n")
+	got := checkGoFiles(dir, []string{"README.md", "DESIGN.md"})
+	want := []string{
+		"README.md: cites internal/pkg/compiled.go, which does not exist",
+		"README.md: cites compiled.go, which does not exist",
+		"README.md: cites hidden.go, which does not exist",
+		"DESIGN.md: cites internal/pkg/main.go, which does not exist",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("violations = %q, want %q", got, want)
+	}
+}

@@ -215,6 +215,33 @@ func TestCompileSpillReport(t *testing.T) {
 	}
 }
 
+// TestCompileOperandLimit: a function may name up to MaxOperands inputs plus
+// outputs.  One more is rejected before anything is allocated per input, so
+// a huge variable index costs nothing.
+func TestCompileOperandLimit(t *testing.T) {
+	if _, err := CompileFn("edge", Var(MaxOperands-2)); err != nil {
+		t.Fatalf("%d inputs + 1 output: %v", MaxOperands-1, err)
+	}
+	for _, exprs := range [][]*Expr{
+		{Var(MaxOperands - 1)},
+		{Var(0), Var(MaxOperands - 2)},
+		{Var(4194304)},
+		{Var(int(^uint(0) >> 1))},
+	} {
+		if _, err := CompileFn("big", exprs...); err == nil || !strings.Contains(err.Error(), "operand limit") {
+			t.Errorf("CompileFn(Var(%d), ... %d outputs) = %v, want the operand-limit error", MaxVar(exprs...), len(exprs), err)
+		}
+	}
+	huge := testing.AllocsPerRun(5, func() {
+		if _, err := CompileFn("big", Var(4194304)); err == nil {
+			t.Fatal("accepted")
+		}
+	})
+	if huge > 20 {
+		t.Errorf("rejecting Var(4194304) made %v allocations", huge)
+	}
+}
+
 func TestCompileKeyCanonical(t *testing.T) {
 	mk := func() (*Compiled, error) {
 		return CompileFn("f", Or(And(Var(0), Var(1)), Not(Var(2))))

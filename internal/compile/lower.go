@@ -143,10 +143,18 @@ func Key(exprs ...*Expr) string {
 	return canonicalKey(b, outs, MaxVar(exprs...)+1)
 }
 
+// MaxOperands bounds a compiled function's inputs plus outputs.  A train
+// costs memory per operand slot, and the input count is the highest variable
+// index plus one, so a single Var(4194304) would otherwise allocate gigabytes.
+// The bound is far above any function the library builds (CompileAdder(8)
+// has 25 operands).
+const MaxOperands = 4096
+
 // CompileFn compiles a multi-output boolean function over bit-vector rows
 // into a single AAP/TRA command train.  Inputs are the variables referenced
 // by the expressions (dense indices; NumInputs = MaxVar+1); each expression
-// becomes one output operand.
+// becomes one output operand.  Inputs plus outputs may not exceed
+// MaxOperands.
 func CompileFn(name string, exprs ...*Expr) (*Compiled, error) {
 	if len(exprs) == 0 {
 		return nil, fmt.Errorf("compile: %s: no output expressions", name)
@@ -156,7 +164,12 @@ func CompileFn(name string, exprs ...*Expr) (*Compiled, error) {
 			return nil, fmt.Errorf("compile: %s: output %d is nil", name, i)
 		}
 	}
-	nIn := MaxVar(exprs...) + 1
+	maxVar := MaxVar(exprs...)
+	if maxVar >= MaxOperands-len(exprs) {
+		return nil, fmt.Errorf("compile: %s: %d inputs and %d outputs exceed the %d-operand limit",
+			name, maxVar+1, len(exprs), MaxOperands)
+	}
+	nIn := maxVar + 1
 
 	b := newBuilder()
 	cache := make(map[*Expr]*node)

@@ -9,49 +9,67 @@ import (
 	"ambit/internal/obs"
 )
 
-// TestCompiledMatchesSequence checks that every op's compiled template
-// resolves to exactly the []Step Sequence produces (addresses, kinds, and
-// split-decoder eligibility).
+// TestCompiledMatchesSequence pins the op-train contract: for real operand
+// rows under every aliasing, each op train step resolves to exactly the Step
+// Sequence produces — kind, addresses, split-decoder eligibility and the
+// rendered trace comment — and each op train has a net program that is exact
+// for the layout (layoutFusable), which is why ExecuteOpRowsFused needs no
+// per-row layout check.
 func TestCompiledMatchesSequence(t *testing.T) {
-	dk, di, dj := dram.D(7), dram.D(11), dram.D(13)
+	layouts := append([]opAliasing{{"rows 7/11/13", dram.D(7), dram.D(11), dram.D(13)}}, opAliasings...)
 	for _, op := range Ops {
-		seq, err := Sequence(op, dk, di, dj)
-		if err != nil {
-			t.Fatalf("%v: %v", op, err)
+		tr := opTrains[op]
+		if tr.net == nil {
+			t.Errorf("%v: op train has no net program", op)
 		}
-		ct := &compiledTrains[op]
-		if len(ct.steps) != len(seq) {
-			t.Fatalf("%v: compiled %d steps, Sequence %d", op, len(ct.steps), len(seq))
-		}
-		for i := range seq {
-			cs := &ct.steps[i]
-			if cs.kind != seq[i].Kind {
-				t.Errorf("%v step %d: kind %v != %v", op, i, cs.kind, seq[i].Kind)
+		for _, al := range layouts {
+			rows := []dram.RowAddr{al.dk, al.di, al.dj}
+			if !tr.layoutFusable(rows) {
+				t.Errorf("%v/%s: op train not layoutFusable", op, al.name)
 			}
-			if got := cs.addr1(dk, di, dj); got != seq[i].Addr1 {
-				t.Errorf("%v step %d: addr1 %v != %v", op, i, got, seq[i].Addr1)
+			seq, err := Sequence(op, al.dk, al.di, al.dj)
+			if err != nil {
+				t.Fatalf("%v: %v", op, err)
 			}
-			if seq[i].Kind == StepAAP {
-				if got := cs.addr2(dk, di, dj); got != seq[i].Addr2 {
-					t.Errorf("%v step %d: addr2 %v != %v", op, i, got, seq[i].Addr2)
+			if len(tr.steps) != len(seq) {
+				t.Fatalf("%v: op train has %d steps, Sequence %d", op, len(tr.steps), len(seq))
+			}
+			for i := range seq {
+				s, want := &tr.steps[i], seq[i]
+				if s.Kind != want.Kind {
+					t.Errorf("%v/%s step %d: kind %v != %v", op, al.name, i, s.Kind, want.Kind)
 				}
-				wantSplit := (seq[i].Addr1.Group == dram.GroupB) != (seq[i].Addr2.Group == dram.GroupB)
-				if cs.split != wantSplit {
-					t.Errorf("%v step %d: split %v != %v", op, i, cs.split, wantSplit)
+				if got := resolveTrainAddr(s.A1, s.Op1, rows); got != want.Addr1 {
+					t.Errorf("%v/%s step %d: addr1 %v != %v", op, al.name, i, got, want.Addr1)
+				}
+				if want.Kind == StepAAP {
+					if got := resolveTrainAddr(s.A2, s.Op2, rows); got != want.Addr2 {
+						t.Errorf("%v/%s step %d: addr2 %v != %v", op, al.name, i, got, want.Addr2)
+					}
+					wantSplit := (want.Addr1.Group == dram.GroupB) != (want.Addr2.Group == dram.GroupB)
+					if s.split != wantSplit {
+						t.Errorf("%v/%s step %d: split %v != %v", op, al.name, i, s.split, wantSplit)
+					}
+				}
+				// Twice: the second call reads the interned copy.
+				for k := 0; k < 2; k++ {
+					if got := s.commentFor(rows); got != want.Comment {
+						t.Errorf("%v/%s step %d: comment %q != %q", op, al.name, i, got, want.Comment)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestCompiledExecutionMatchesTraced runs every op through the compiled fast
-// path and the traced Sequence path on twin controllers and demands identical
-// cell contents, latencies, controller stats, and device stats.
+// TestCompiledExecutionMatchesTraced runs every op untraced and traced on twin
+// controllers and demands identical cell contents, latencies, controller
+// stats, and device stats.
 func TestCompiledExecutionMatchesTraced(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	mk := func() *Controller { return testController(t) }
 	fast, slow := mk(), mk()
-	// An installed tracer with an enabled sink forces the Sequence path.
+	// An installed tracer with an enabled sink adds the event replay.
 	slow.SetTracer(obs.NewTracer(obs.NopSink{}), nil)
 
 	words := testGeom().WordsPerRow()
@@ -87,7 +105,7 @@ func TestCompiledExecutionMatchesTraced(t *testing.T) {
 }
 
 // TestCompiledRejectsNonDataOperands mirrors TestSequenceRejectsNonDataOperands
-// on the fast path.
+// on ExecuteOp.
 func TestCompiledRejectsNonDataOperands(t *testing.T) {
 	c := testController(t)
 	cases := []struct {
@@ -108,7 +126,8 @@ func TestCompiledRejectsNonDataOperands(t *testing.T) {
 	}
 }
 
-// BenchmarkSequence measures the allocation cost the compiled cache removes.
+// BenchmarkSequence measures building a Figure-8 sequence, which happens once
+// per op at init, when the op trains are built.
 func BenchmarkSequence(b *testing.B) {
 	dk, di, dj := dram.D(0), dram.D(1), dram.D(2)
 	b.ReportAllocs()
@@ -119,8 +138,8 @@ func BenchmarkSequence(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleOp measures the full schedule path per row; the compiled
-// train keeps it allocation-free.
+// BenchmarkScheduleOp measures the full schedule path per row; the op train
+// keeps it allocation-free.
 func BenchmarkScheduleOp(b *testing.B) {
 	d, err := dram.NewDevice(dram.Config{Geometry: testGeom(), Timing: dram.DDR3_1600()})
 	if err != nil {

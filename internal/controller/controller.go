@@ -182,159 +182,22 @@ func (c *Controller) ap(bank, sub int, a dram.RowAddr, comment string) (float64,
 	return lat, nil
 }
 
-// ExecuteStep runs one sequence step on the given bank/subarray.
-func (c *Controller) ExecuteStep(bank, sub int, s Step) (float64, error) {
-	if s.Kind == StepAAP {
-		return c.aap(bank, sub, s.Addr1, s.Addr2, s.Comment)
-	}
-	return c.ap(bank, sub, s.Addr1, s.Comment)
-}
-
 // ExecuteOp performs dk = op(di [, dj]) on rows of subarray sub in bank,
 // returning the total command-train latency in nanoseconds.  The source rows
 // are preserved (Section 3.3: the TRA operates on copies in the designated
-// rows).
-//
-// With tracing disabled this dispatches to the compiled-train fast path
-// (compiled.go), which issues the identical command sequence without
-// allocating.  With tracing enabled it still tries the fused evaluator first
-// and replays the train's events from the Figure-8 sequence (emitFusedTrain):
-// the events are byte-identical to step-by-step execution at near-fused cost,
-// which is what keeps the traced-parallel overhead inside the CI gate.  The
-// Sequence interpreter below remains the fallback when the subarray state
-// makes fusing ineligible (armed fault hook, non-precharged bank).
+// rows).  It runs op's train (optrain.go) through ExecuteTrain; dj is
+// ignored for unary ops.
 func (c *Controller) ExecuteOp(op Op, bank, sub int, dk, di, dj dram.RowAddr) (float64, error) {
-	if !c.tr.Enabled() {
-		return c.executeOpCompiled(op, bank, sub, dk, di, dj)
+	if op >= numOps {
+		return 0, fmt.Errorf("controller: unknown operation %v", op)
 	}
-	if !c.noFuse {
-		if total, ok := c.executeOpFused(op, bank, sub, dk, di, dj); ok {
-			c.emitFusedTrain(op, bank, sub, dk, di, dj)
-			return total, nil
-		}
-	}
-	seq, err := Sequence(op, dk, di, dj)
-	if err != nil {
-		return 0, err
-	}
-	// Give the fault injector (if any) the train's destination-row context,
-	// so per-row failure weakness applies to the row receiving the result.
-	row := -1
-	if dk.Group == dram.GroupD {
-		row = dk.Index
-	}
-	c.dev.BeginTrain(bank, sub, row)
-	var total float64
-	for _, s := range seq {
-		lat, err := c.ExecuteStep(bank, sub, s)
-		if err != nil {
-			return total, fmt.Errorf("%v step %q: %w", op, s, err)
-		}
-		total += lat
-	}
-	c.mu.Lock()
-	c.stats.OpCounts[op]++
-	c.mu.Unlock()
-	return total, nil
-}
-
-// emitFusedTrain replays the command events of one fused train.  The fused
-// evaluator commits state, census, and latency without materializing steps,
-// so the traced path reconstructs the per-step events from the op's compiled
-// template (compiled.go), whose address strings and comment parts were
-// precomputed from the same Figure-8 sequence the interpreter walks — same
-// names, addresses, latencies, energy, and comments, in the same order,
-// without rebuilding the sequence per row.
-func (c *Controller) emitFusedTrain(op Op, bank, sub int, dk, di, dj dram.RowAddr) {
-	ct := &compiledTrains[op]
-	t := c.dev.Timing()
-	aapSplit, aapNaive, apLat := t.AAPSplit(), t.AAPNaive(), t.AP()
-	// Operands reaching the fused path are validated D-group rows, so their
-	// renderings are interned once per distinct index.
-	dkS, diS, djS := dRowStr(dk.Index), dRowStr(di.Index), dRowStr(dj.Index)
-	opStr := func(role operandRole, fixed string) string {
-		switch role {
-		case roleDK:
-			return dkS
-		case roleDI:
-			return diS
-		case roleDJ:
-			return djS
-		}
-		return fixed
-	}
-	// Under a ShardSet (the parallel path) the whole train is filled into
-	// the bank's capture shard in place — no per-event dispatch or copying.
-	// Otherwise (no capture shard, as in a single-stream plan) events go
-	// through the ordinary emitCmd/Emit pipeline; both produce identical
-	// bytes.
-	if cb := c.tr.CommandBuffer(bank); cb.Active() {
-		evs := cb.Extend(len(ct.steps))
-		for i := range ct.steps {
-			s := &ct.steps[i]
-			a1 := s.addr1(dk, di, dj)
-			ev := &evs[i]
-			ev.Kind = obs.KindCommand
-			ev.Bank, ev.Subarray = bank, sub
-			ev.StartNS = -1
-			ev.Rows = 0
-			ev.A1 = opStr(s.r1, s.a1Str)
-			ev.Comment = s.commentFor(dk, di, dj)
-			if s.kind == StepAAP {
-				ev.Name = "AAP"
-				ev.A2 = opStr(s.r2, s.a2Str)
-				ev.DurNS = aapNaive
-				if c.SplitDecoder && s.split {
-					ev.DurNS = aapSplit
-				}
-				ev.EnergyPJ = c.stepEnergyNJ(StepAAP, a1, s.addr2(dk, di, dj)) * 1000
-			} else {
-				ev.Name = "AP"
-				ev.A2 = ""
-				ev.DurNS = apLat
-				ev.EnergyPJ = c.stepEnergyNJ(StepAP, a1, dram.RowAddr{}) * 1000
-			}
-		}
-		return
-	}
-	for i := range ct.steps {
-		s := &ct.steps[i]
-		a1 := s.addr1(dk, di, dj)
-		comment := s.commentFor(dk, di, dj)
-		if s.kind == StepAAP {
-			lat := aapNaive
-			if c.SplitDecoder && s.split {
-				lat = aapSplit
-			}
-			c.emitCmd("AAP", bank, sub, opStr(s.r1, s.a1Str), opStr(s.r2, s.a2Str),
-				lat, c.stepEnergyNJ(StepAAP, a1, s.addr2(dk, di, dj)), comment)
-		} else {
-			c.emitCmd("AP", bank, sub, opStr(s.r1, s.a1Str), "",
-				apLat, c.stepEnergyNJ(StepAP, a1, dram.RowAddr{}), comment)
-		}
-	}
+	rows := [3]dram.RowAddr{dk, di, dj}
+	return c.ExecuteTrain(opTrains[op], bank, sub, rows[:])
 }
 
 // OpLatencyNS returns the command-train latency of one row-wide operation
-// without executing it (the schedule is static, Section 5.5.2).  Computed
-// from the compiled template, allocation-free.
-func (c *Controller) OpLatencyNS(op Op) float64 {
-	ct := &compiledTrains[op]
-	t := c.dev.Timing()
-	var total float64
-	for i := range ct.steps {
-		s := &ct.steps[i]
-		switch {
-		case s.kind != StepAAP:
-			total += t.AP()
-		case c.SplitDecoder && s.split:
-			total += t.AAPSplit()
-		default:
-			total += t.AAPNaive()
-		}
-	}
-	return total
-}
+// without executing it (the schedule is static, Section 5.5.2).
+func (c *Controller) OpLatencyNS(op Op) float64 { return c.TrainLatencyNS(opTrains[op]) }
 
 // ScheduleOp executes dk = op(di[, dj]) and reserves the bank's timeline
 // starting no earlier than `start`, returning the completion time.  Banks

@@ -5,16 +5,17 @@
 // latency/command accounting, and the execute-verify-retry reliability
 // policy (TMR over weak analog primitives).
 //
-// Beyond the fixed Figure-8 sequences, Train is the general form: a
-// validated program of AAP/AP steps over symbolic operand slots plus fixed
-// B/C-group addresses, which internal/compile emits for arbitrary boolean
-// functions.  ExecuteOp and ExecuteTrain each pick between two equivalent
-// evaluators — a fused word-level interpreter for the common case, and
-// step-by-step device commands whenever a fault injector, raised wordline
-// state, or a two-wordline sensing step demands cell-accurate execution.
-// The two paths are contract-equal: identical cells, latencies, controller
-// and device statistics, and (when traced) byte-identical command event
-// streams, enforced by the *MatchesStepwise tests.
+// Every command sequence is a Train: a validated program of AAP/AP steps
+// over symbolic operand slots plus fixed B/C-group addresses.  Each
+// Figure-8 sequence is built into one at package init, and internal/compile
+// emits them for arbitrary boolean functions; ExecuteOp runs an op's train
+// through ExecuteTrain.  A run takes the train's net effect, evaluated word
+// by word, unless a fault injector, raised wordline state, a two-wordline
+// sensing step or an operand layout the net program cannot order demands
+// step-by-step device commands.  The two routes are contract-equal:
+// identical cells, latencies, controller and device statistics, and (when
+// traced) byte-identical command event streams, enforced by the
+// *MatchesStepwise tests.
 //
 // A Controller is not safe for concurrent use on one bank: callers (the
 // root System and its batch engine) serialize access per bank via the

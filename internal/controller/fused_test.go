@@ -9,6 +9,21 @@ import (
 	"ambit/internal/obs"
 )
 
+// opAliasing is one Dk/Di/Dj layout of an op's operand rows.
+type opAliasing struct {
+	name       string
+	dk, di, dj dram.RowAddr
+}
+
+// opAliasings are the five ways an op's operand rows can coincide.
+var opAliasings = []opAliasing{
+	{"distinct", dram.D(0), dram.D(1), dram.D(2)},
+	{"dk=di", dram.D(1), dram.D(1), dram.D(2)},
+	{"dk=dj", dram.D(2), dram.D(1), dram.D(2)},
+	{"di=dj", dram.D(0), dram.D(1), dram.D(1)},
+	{"all-same", dram.D(1), dram.D(1), dram.D(1)},
+}
+
 // TestFusedMatchesStepwise is the equivalence gate for the fused train
 // evaluator: for every op and every operand-aliasing shape it executes the
 // train once fused and once step by step (traced path) on twin devices whose
@@ -26,20 +41,10 @@ func TestFusedMatchesStepwise(t *testing.T) {
 	for i := 0; i < testGeom().DataRows(); i++ {
 		auditRows = append(auditRows, dram.D(i))
 	}
-	aliases := []struct {
-		name       string
-		dk, di, dj dram.RowAddr
-	}{
-		{"distinct", dram.D(0), dram.D(1), dram.D(2)},
-		{"dk=di", dram.D(1), dram.D(1), dram.D(2)},
-		{"dk=dj", dram.D(2), dram.D(1), dram.D(2)},
-		{"di=dj", dram.D(0), dram.D(1), dram.D(1)},
-		{"all-same", dram.D(1), dram.D(1), dram.D(1)},
-	}
 	rng := rand.New(rand.NewSource(99))
 	words := testGeom().WordsPerRow()
 	for _, op := range Ops {
-		for _, al := range aliases {
+		for _, al := range opAliasings {
 			fused, step := testController(t), testController(t)
 			step.SetTracer(obs.NewTracer(obs.NopSink{}), nil)
 			step.noFuse = true // the traced path also fuses now; force stepwise

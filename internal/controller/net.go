@@ -22,7 +22,7 @@ import "ambit/internal/dram"
 // (MAJ with a constant is AND/OR, MAJ(x,x,y) = x, MAJ(x,!x,y) = y, double
 // complements cancel), so each cell the train leaves changed — T0–T3,
 // DCC0/1, written operands — ends up as one reference into a DAG over the
-// initial contents of the cells the train reads.  executeTrainFused then
+// initial contents of the cells the train reads.  ExecuteTrain then
 // evaluates that DAG chunk by chunk into a per-bank register file: one read
 // per operand row, one write per changed row, where streaming the steps
 // rewrites every staged row once per step.
@@ -182,8 +182,9 @@ type netInst struct {
 	m    [3]uint64
 }
 
-// netStore writes one changed cell per chunk: from a register view
-// (complemented by m) or, when src < 0, the constant m.
+// netStore writes one changed cell per chunk: from a view — a register, an
+// operand leaf row or an earlier store's row — complemented by m, or, when
+// src < 0, the constant m.
 type netStore struct {
 	cell int
 	src  int
@@ -196,14 +197,12 @@ type netProgram struct {
 	insts  []netInst
 	stores []netStore
 	regs   int
-	// direct is the store the last instruction writes in place, -1 if none.
-	direct int
 }
 
 // compileNet runs the train symbolically and compiles its net effect; ok is
 // false when a step has no defined template-level semantics (two-wordline
 // sensing).
-func compileNet(operands int, steps []TrainStep) (*netProgram, bool) {
+func compileNet(operands int, steps []trainStep) (*netProgram, bool) {
 	b := &netBuilder{nodes: []netNode{{kind: netConst}}, index: make(map[netNode]netRef)}
 	ncell := cellOperand0 + operands
 	st := make([]netRef, ncell)
@@ -347,16 +346,31 @@ func (b *netBuilder) program(st, leafRef []netRef) *netProgram {
 		args[n] = flat
 	}
 
-	// Leaf views come first; gates and materialized leaves get registers.
+	// Views: leaf rows first, then one per changed cell's row, then the
+	// registers.  A gate whose value a designated cell keeps uncomplemented
+	// is computed straight into that cell's row — its home — when the
+	// program never reads the cell's initial contents, so the row is
+	// written once per chunk instead of being copied from a register.
 	view := make([]int, len(b.nodes))
+	leafCell := make([]bool, len(st))
 	for n := range b.nodes {
 		view[n] = -1
 		if need[n] && b.nodes[n].kind == netLeaf {
 			view[n] = len(p.leaves)
 			p.leaves = append(p.leaves, b.nodes[n].cell)
+			leafCell[b.nodes[n].cell] = true
 		}
 	}
 	nLeaves := len(p.leaves)
+	regBase := nLeaves + len(changed)
+	home := make(map[int]int) // gate node -> its home's store index
+	isHome := make([]bool, len(changed))
+	for i, ch := range changed {
+		n := ch.ref.node()
+		if _, ok := home[n]; !ok && isGate(n) && ch.ref&1 == 0 && ch.cell < cellOperand0 && !leafCell[ch.cell] {
+			home[n], isHome[i] = i, true
+		}
+	}
 
 	// Last use of each gate by a later gate; store sources live to the end.
 	const forever = int(^uint(0) >> 1)
@@ -380,7 +394,7 @@ func (b *netBuilder) program(st, leafRef []netRef) *netProgram {
 			return r
 		}
 		p.regs++
-		return nLeaves + p.regs - 1
+		return regBase + p.regs - 1
 	}
 	for n := range b.nodes {
 		if !isGate(n) || inlined[n] {
@@ -389,29 +403,44 @@ func (b *netBuilder) program(st, leafRef []netRef) *netProgram {
 		in := netInst{kind: b.nodes[n].kind, n: len(args[n])}
 		for k, a := range args[n] {
 			in.args[k], in.m[k] = view[a.node()], a.mask()
-			if isGate(a.node()) && lastUse[a.node()] == n {
+			if isGate(a.node()) && lastUse[a.node()] == n && view[a.node()] >= regBase {
 				free = append(free, view[a.node()])
 			}
 		}
 		// The kernels read every argument word before writing the
 		// destination word at the same index, so the destination may
 		// reuse a register freed by this instruction.
-		in.dst = alloc()
+		if i, ok := home[n]; ok {
+			in.dst = nLeaves + i
+		} else {
+			in.dst = alloc()
+		}
 		view[n] = in.dst
 		p.insts = append(p.insts, in)
 	}
 
-	// Stores.  A changed cell whose final value is a leaf of the initial
-	// state is materialized into a register first: the store phase may
-	// overwrite that leaf's row before copying from it.
+	// Stores, in cell order: the designated cells, then the operands.  A
+	// home was written by its instruction.  A store whose value an earlier
+	// store holds copies that store's row.  A designated cell whose value
+	// is an operand leaf reads the leaf's row directly: designated cells
+	// never share a row with an operand, and their stores run before the
+	// chunk's operand stores.  Any other leaf value is materialized into a
+	// register first, since the store phase may overwrite the leaf's row
+	// before copying from it.
+	first := make(map[netRef]int)
 	leafReg := make(map[int]int)
-	for _, ch := range changed {
+	for i, ch := range changed {
 		n := ch.ref.node()
 		s := netStore{cell: ch.cell, src: view[n], m: ch.ref.mask()}
-		switch b.nodes[n].kind {
-		case netConst:
+		j, dup := first[ch.ref]
+		switch {
+		case isHome[i]:
+		case b.nodes[n].kind == netConst:
 			s.src = -1
-		case netLeaf:
+		case dup:
+			s.src, s.m = nLeaves+j, 0
+		case b.nodes[n].kind == netLeaf && ch.cell < cellOperand0 && b.nodes[n].cell >= cellOperand0:
+		case b.nodes[n].kind == netLeaf:
 			r, ok := leafReg[n]
 			if !ok {
 				r = alloc()
@@ -420,28 +449,10 @@ func (b *netBuilder) program(st, leafRef []netRef) *netProgram {
 			}
 			s.src = r
 		}
-		p.stores = append(p.stores, s)
-	}
-
-	// No row is read after the last instruction, so it may write its
-	// first uncomplemented store row directly, through a view slot of its
-	// own; the other stores of that value copy from the freshly written
-	// row chunk.
-	p.direct = -1
-	if k := len(p.insts) - 1; k >= 0 && p.insts[k].kind != netCopy {
-		last := &p.insts[k]
-		for i := range p.stores {
-			if p.stores[i].src == last.dst && p.stores[i].m == 0 {
-				slot := nLeaves + p.regs
-				for j := range p.stores {
-					if p.stores[j].src == last.dst {
-						p.stores[j].src = slot
-					}
-				}
-				last.dst, p.direct = slot, i
-				break
-			}
+		if !dup {
+			first[ch.ref] = i
 		}
+		p.stores = append(p.stores, s)
 	}
 	return p
 }
@@ -492,44 +503,42 @@ func (n *netNode) arity() int {
 }
 
 // netScratch is one bank's evaluation scratch: the view table (leaf rows,
-// registers, the direct-store row, then the store rows) and the register
-// file.  The caller serializes per-bank access, so each bank owns its
-// scratch outright.
+// store rows, then registers) and the register file.  The caller serializes
+// per-bank access, so each bank owns its scratch outright.
 type netScratch struct {
 	views [][]uint64
 	regs  []uint64
 }
 
 // run evaluates the program on one subarray's rows, chunk by chunk.  Within
-// a chunk every row read precedes every row write: instructions read leaf
-// rows and registers and write only registers — except the last, which
-// reads its arguments word by word before writing the direct-store row at
-// the same index — and stores read only registers and the direct-store row.
-// Words at different indices never interact, so the result equals applying
-// the steps in order, including when a written operand row is also read
-// through another slot, provided every such read precedes the write in the
-// train (see Train.layoutFusable).  Registers are row-sized, so every view
-// is sliced by the same [lo:hi] window.
+// a chunk every row read precedes every write to that row: instructions
+// read leaf rows, registers and homes written earlier in the chunk, and
+// write registers and homes, which no instruction reads as a leaf, reading
+// each argument word before writing the destination word at the same index;
+// stores read registers, rows already stored, and operand rows no operand
+// store has written yet.  Words at different indices never interact, so the
+// result equals applying the steps in order, including when a written
+// operand row is also read through another slot, provided every such read
+// precedes the write in the train (see Train.layoutFusable).  Registers are
+// row-sized, so every view is sliced by the same [lo:hi] window.
 func (p *netProgram) run(sa *dram.Subarray, rows []dram.RowAddr, words int, sc *netScratch) {
-	nl, nv := len(p.leaves), len(p.leaves)+p.regs+1
-	if cap(sc.views) < nv+len(p.stores) {
-		sc.views = make([][]uint64, nv+len(p.stores))
+	nl := len(p.leaves)
+	base := nl + len(p.stores)
+	if nv := base + p.regs; cap(sc.views) < nv {
+		sc.views = make([][]uint64, nv)
 	}
 	if len(sc.regs) < p.regs*words {
 		sc.regs = make([]uint64, p.regs*words)
 	}
-	v, dst := sc.views[:nv], sc.views[nv:nv+len(p.stores)]
+	v := sc.views[:base+p.regs]
 	for i, c := range p.leaves {
 		v[i] = sa.CellData(cellWordline(c, rows))
 	}
-	for r := 0; r < p.regs; r++ {
-		v[nl+r] = sc.regs[r*words : (r+1)*words]
-	}
 	for i := range p.stores {
-		dst[i] = sa.CellData(cellWordline(p.stores[i].cell, rows))
+		v[nl+i] = sa.CellData(cellWordline(p.stores[i].cell, rows))
 	}
-	if p.direct >= 0 {
-		v[nv-1] = dst[p.direct]
+	for r := 0; r < p.regs; r++ {
+		v[base+r] = sc.regs[r*words : (r+1)*words]
 	}
 	for lo := 0; lo < words; lo += netChunk {
 		hi := min(lo+netChunk, words)
@@ -537,12 +546,10 @@ func (p *netProgram) run(sa *dram.Subarray, rows []dram.RowAddr, words int, sc *
 			p.insts[i].exec(v, lo, hi)
 		}
 		for i := range p.stores {
-			if i == p.direct {
-				continue
-			}
 			s := &p.stores[i]
-			d := dst[i][lo:hi]
+			d := v[nl+i][lo:hi]
 			switch {
+			case s.src == nl+i: // a home, written by its instruction
 			case s.src < 0:
 				for w := range d {
 					d[w] = s.m

@@ -10,8 +10,8 @@ import (
 )
 
 // TestTracedFusedEventsMatchStepwise holds the traced-path equivalence: for
-// every op, executing the train through the fused evaluator with event
-// replay (emitFusedTrain) must produce the exact same event stream — names,
+// every op, executing the train through the net-effect evaluator with event
+// replay (replayEvents) must produce the exact same event stream — names,
 // addresses, latencies, energies, comments, sequence numbers — as the
 // step-by-step interpreter, plus identical latency, state, and stats.  This
 // is what lets the traced parallel path run at near-fused cost without

@@ -8,18 +8,17 @@ import (
 	"ambit/internal/obs"
 )
 
-// Generalized compiled command trains.
+// Command trains.
 //
-// The PR-4 template cache (compiled.go) covers the seven Figure-8 sequences,
-// whose operand slots are the three fixed roles Dk/Di/Dj.  Compiled boolean
-// functions (internal/compile) need the same machinery for *arbitrary*
-// AAP/TRA sequences over any number of data-row operands, so Train abstracts
-// the template: each step's addresses are either fixed reserved addresses
-// (B/C group) or indices into the operand row vector bound at execution time.
-// Like the built-in templates, a Train precomputes its command census —
-// ACTIVATEs by wordline fan-out, PRECHARGEs, split-decoder-eligible AAPs —
-// so the fused evaluator charges latency, energy, and stats in O(1) per row
-// without walking the steps.
+// A Train is the one representation of an AAP/AP command sequence: the seven
+// Figure-8 operations (optrain.go) and the boolean functions internal/compile
+// emits are both Trains.  Each step's addresses are either fixed reserved
+// addresses (B/C group) or indices into the operand row vector bound at
+// execution time.  A Train precomputes its command census — ACTIVATEs by
+// wordline fan-out, PRECHARGEs, split-decoder-eligible AAPs — so the net
+// effect evaluator charges latency, energy, and stats in O(1) per row without
+// walking the steps, and the strings its trace events carry, so replaying a
+// traced train allocates nothing.
 
 // TrainStep is one primitive of a compiled command train.  An address slot is
 // either bound to an operand (OpN >= 0: the address is rows[OpN], a data row)
@@ -53,19 +52,70 @@ func (s TrainStep) String() string {
 	return fmt.Sprintf("AAP (%s, %s) ;%s", a1, a2, s.Comment)
 }
 
-// Train is a validated compiled command train template: the unit the
-// boolean-function compiler produces and the controller executes per row.
-// A Train is immutable after NewTrain and safe for concurrent ExecuteTrain
-// calls on different banks (the caller serializes per-bank access exactly as
-// for ExecuteOp).
+// trainStep is a TrainStep plus what executing and tracing it needs, fixed
+// when the train is built.
+type trainStep struct {
+	TrainStep
+	// split reports Section 5.3 split-decoder eligibility: an AAP with
+	// exactly one B-group address.
+	split bool
+	// a1 and a2 are the fixed addresses' strings; "" for an operand slot.
+	a1, a2 string
+	// tmpl is an op train's comment split around the one operand slot it
+	// names (slot); the rendered comments are interned per row index in
+	// cache.  nil when the comment is fixed.
+	tmpl  []string
+	slot  int
+	cache *internTable
+}
+
+// addrStr returns the trace string of one of the step's address slots.
+func addrStr(fixed string, op int, rows []dram.RowAddr) string {
+	if op >= 0 {
+		return dRowStr(rows[op].Index)
+	}
+	return fixed
+}
+
+// commentFor returns the step's trace comment for the given operand rows.
+func (s *trainStep) commentFor(rows []dram.RowAddr) string {
+	if s.cache == nil {
+		return s.Comment
+	}
+	idx := rows[s.slot].Index
+	if c, ok := s.cache.lookup(idx); ok {
+		return c
+	}
+	return s.cache.put(idx, strings.Join(s.tmpl, rows[s.slot].String()))
+}
+
+// latency returns the step's latency given the AAP latency with and without
+// the split decoder's overlap, and the AP latency.
+func (s *trainStep) latency(aapSplit, aapNaive, ap float64) float64 {
+	switch {
+	case s.Kind != StepAAP:
+		return ap
+	case s.split:
+		return aapSplit
+	}
+	return aapNaive
+}
+
+// Train is a validated command train template: the unit the controller
+// executes per row.  A Train is immutable after construction and safe for
+// concurrent ExecuteTrain calls on different banks (the caller serializes
+// per-bank access).
 type Train struct {
 	name     string
 	operands int
-	steps    []TrainStep
+	steps    []trainStep
+	// op is the OpCounts index a completed run of an op train increments;
+	// -1 for any other train, whose runs count in Trains.
+	op int
 
-	// Command census (cf. compiledTrain): acts[k] counts ACTIVATEs raising
-	// k+1 wordlines; pres counts PRECHARGEs; splitAAPs counts AAPs with
-	// exactly one B-group address (Section 5.3 split-decoder eligible).
+	// Command census: acts[k] counts ACTIVATEs raising k+1 wordlines; pres
+	// counts PRECHARGEs; splitAAPs counts AAPs with exactly one B-group
+	// address (Section 5.3 split-decoder eligible).
 	acts      [3]int64
 	pres      int64
 	aaps, aps int64
@@ -103,7 +153,8 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 	t := &Train{
 		name:       name,
 		operands:   operands,
-		steps:      append([]TrainStep(nil), steps...),
+		steps:      make([]trainStep, len(steps)),
+		op:         -1,
 		firstWrite: make([]int, operands),
 		lastRead:   make([]int, operands),
 		firstOut:   -1,
@@ -129,7 +180,9 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 		}
 		return nil
 	}
-	for i, s := range t.steps {
+	for i, s := range steps {
+		ts := &t.steps[i]
+		*ts = trainStep{TrainStep: s, slot: -1}
 		// First address (sensing side).
 		var wc1 int
 		if s.Op1 >= 0 {
@@ -143,6 +196,7 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 				return nil, err
 			}
 			wc1 = dram.WordlineCount(s.A1)
+			ts.a1 = s.A1.String()
 		}
 		t.acts[wc1-1]++
 		t.pres++
@@ -170,10 +224,12 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 			}
 			t.acts[dram.WordlineCount(s.A2)-1]++
 			b2 = s.A2.Group == dram.GroupB
+			ts.a2 = s.A2.String()
 		}
 		t.aaps++
 		if b1 != b2 {
 			t.splitAAPs++
+			ts.split = true
 		}
 	}
 	for i, w := range t.firstWrite {
@@ -197,7 +253,13 @@ func (t *Train) Operands() int { return t.operands }
 func (t *Train) Len() int { return len(t.steps) }
 
 // Steps returns a copy of the step sequence.
-func (t *Train) Steps() []TrainStep { return append([]TrainStep(nil), t.steps...) }
+func (t *Train) Steps() []TrainStep {
+	out := make([]TrainStep, len(t.steps))
+	for i := range t.steps {
+		out[i] = t.steps[i].TrainStep
+	}
+	return out
+}
 
 // AAPs and APs return the per-row primitive counts.
 func (t *Train) AAPs() int64 { return t.aaps }
@@ -253,6 +315,18 @@ func (c *Controller) TrainLatencyNS(t *Train) float64 {
 	return float64(t.aaps)*tm.AAPNaive() + float64(t.aps)*tm.AP()
 }
 
+// stepLatencies returns the latencies trainStep.latency selects between: an
+// eligible AAP's (the overlapped one when the split decoder is on), any other
+// AAP's, and an AP's.
+func (c *Controller) stepLatencies() (aapSplit, aapNaive, ap float64) {
+	tm := c.dev.Timing()
+	aapSplit, aapNaive = tm.AAPSplit(), tm.AAPNaive()
+	if !c.SplitDecoder {
+		aapSplit = aapNaive
+	}
+	return aapSplit, aapNaive, tm.AP()
+}
+
 // resolveTrainAddr resolves one step address slot against the operand rows.
 func resolveTrainAddr(a dram.RowAddr, op int, rows []dram.RowAddr) dram.RowAddr {
 	if op >= 0 {
@@ -261,43 +335,63 @@ func resolveTrainAddr(a dram.RowAddr, op int, rows []dram.RowAddr) dram.RowAddr 
 	return a
 }
 
-// ExecuteTrain runs one compiled train on the given bank/subarray with the
-// given operand rows (all D-group, one per operand slot), returning the
-// train's total command latency.  Dispatch mirrors ExecuteOp: untraced
-// precharged banks take the compiled net effect (allocation-free); traced
-// runs take it plus event replay; an armed fault model, an open bank, a
-// train with two-wordline sensing, or an operand layout the net program
-// cannot order falls back to step-by-step execution through the same aap/ap
-// primitives the built-in ops use.
-func (c *Controller) ExecuteTrain(t *Train, bank, sub int, rows []dram.RowAddr) (float64, error) {
-	if len(rows) != t.operands {
-		return 0, fmt.Errorf("controller: train %q: got %d operand rows, want %d", t.name, len(rows), t.operands)
+// completions returns the counter one completed run of t increments: its
+// op's OpCounts entry for an op train, Trains for any other.
+func (t *Train) completions(st *Stats) *int64 {
+	if t.op >= 0 {
+		return &st.OpCounts[t.op]
 	}
-	g := c.dev.Geometry()
+	return &st.Trains
+}
+
+// checkOperands validates a run's bank, subarray and operand rows.  Every
+// operand slot the train touches must be an in-range D-group row; a slot no
+// step names (Dj of a unary op) is ignored.
+func (t *Train) checkOperands(g dram.Geometry, bank, sub int, rows []dram.RowAddr) error {
+	if len(rows) != t.operands {
+		return fmt.Errorf("controller: train %q: got %d operand rows, want %d", t.name, len(rows), t.operands)
+	}
 	if bank < 0 || bank >= g.Banks || sub < 0 || sub >= g.SubarraysPerBank {
-		return 0, fmt.Errorf("controller: train %q: bank %d/subarray %d out of range", t.name, bank, sub)
+		return fmt.Errorf("controller: train %q: bank %d/subarray %d out of range", t.name, bank, sub)
 	}
 	for i, r := range rows {
+		if t.firstWrite[i] < 0 && t.lastRead[i] < 0 {
+			continue
+		}
 		if r.Group != dram.GroupD {
-			return 0, fmt.Errorf("controller: train %q operand $%d: %v is not a data row", t.name, i, r)
+			return fmt.Errorf("controller: train %q operand $%d: %v is not a data row", t.name, i, r)
 		}
 		if err := r.Validate(g); err != nil {
-			return 0, fmt.Errorf("controller: train %q operand $%d: %w", t.name, i, err)
+			return fmt.Errorf("controller: train %q operand $%d: %w", t.name, i, err)
 		}
 	}
-	if !c.tr.Enabled() {
-		if lat, ok := c.executeTrainFused(t, bank, sub, rows); ok {
+	return nil
+}
+
+// ExecuteTrain runs one train on the given bank/subarray with the given
+// operand rows (D-group, one per operand slot), returning the train's total
+// command latency.  When nothing can observe the intermediate states — the
+// train has a net program, the operand layout lets it order its reads and
+// writes (layoutFusable), and the subarray is precharged with no fault hook
+// armed — it runs the net effect in one word pass, commits the census, and
+// replays the command events if traced.  Otherwise it issues the steps one
+// by one through the device model, where fault hooks fire.  Both routes give
+// identical cells, latencies, statistics and trace bytes.
+func (c *Controller) ExecuteTrain(t *Train, bank, sub int, rows []dram.RowAddr) (float64, error) {
+	if err := t.checkOperands(c.dev.Geometry(), bank, sub, rows); err != nil {
+		return 0, err
+	}
+	if t.net != nil && !c.noFuse && t.layoutFusable(rows) {
+		if sa := c.dev.Bank(bank).Subarray(sub); sa.FusedEligible() {
+			t.net.run(sa, rows, c.dev.Geometry().WordsPerRow(), &c.netScratch[bank])
+			lat := c.commitTrains(t, 1)
+			if c.tr.Enabled() {
+				c.replayEvents(t, bank, sub, rows)
+			}
 			return lat, nil
 		}
-		return c.executeTrainStepwise(t, bank, sub, rows)
 	}
-	if !c.noFuse {
-		if lat, ok := c.executeTrainFused(t, bank, sub, rows); ok {
-			c.emitTrainEvents(t, bank, sub, rows)
-			return lat, nil
-		}
-	}
-	return c.executeTrainStepwise(t, bank, sub, rows)
+	return c.executeStepwise(t, bank, sub, rows)
 }
 
 // ScheduleTrain executes the train and reserves the bank's timeline starting
@@ -310,32 +404,28 @@ func (c *Controller) ScheduleTrain(t *Train, bank, sub int, rows []dram.RowAddr,
 	return c.dev.Bank(bank).Reserve(start, lat), nil
 }
 
-// executeTrainFused applies the train's compiled net effect (net.go) when
-// nothing can observe the intermediate states: a precharged subarray, no
-// fault hook, a train without two-wordline sensing, and an operand layout the
-// net program can order (layoutFusable).  Stats, latency, and energy are
-// charged from the census, bit-identical to the step-by-step path.
-func (c *Controller) executeTrainFused(t *Train, bank, sub int, rows []dram.RowAddr) (float64, bool) {
-	if t.net == nil || c.noFuse || !t.layoutFusable(rows) {
-		return 0, false
+// commitTrains charges n net-effect runs of t from its census in one device
+// commit and one stats lock, and returns the per-run latency.  Committing n
+// runs at once is exact: the census is integer sums, and the train latency
+// is an exact multiple of 2^-2 ns under the paper's timings, so the n BusyNS
+// adds accumulate bit-identically to n single-run commits in any
+// interleaving.
+func (c *Controller) commitTrains(t *Train, n int64) float64 {
+	lat := c.TrainLatencyNS(t)
+	st := dram.Stats{Precharges: t.pres * n}
+	for i, a := range t.acts {
+		st.Activates[i] = a * n
 	}
-	sa := c.dev.Bank(bank).Subarray(sub)
-	if !sa.FusedEligible() {
-		return 0, false
-	}
-	t.net.run(sa, rows, c.dev.Geometry().WordsPerRow(), &c.netScratch[bank])
-
-	total := c.TrainLatencyNS(t)
-	st := dram.Stats{Precharges: t.pres}
-	copy(st.Activates[:], t.acts[:])
 	c.dev.CommitStats(st)
 	c.mu.Lock()
-	c.stats.AAPs += t.aaps
-	c.stats.APs += t.aps
-	c.stats.BusyNS += total
-	c.stats.Trains++
+	c.stats.AAPs += t.aaps * n
+	c.stats.APs += t.aps * n
+	for i := int64(0); i < n; i++ {
+		c.stats.BusyNS += lat
+	}
+	*t.completions(&c.stats) += n
 	c.mu.Unlock()
-	return total, true
+	return lat
 }
 
 // layoutFusable reports whether the net program is exact for this operand
@@ -359,95 +449,107 @@ func (t *Train) layoutFusable(rows []dram.RowAddr) bool {
 	return true
 }
 
-// executeTrainStepwise runs the train through the aap/ap primitives — the
-// path that exercises the full charge-share/latch/restore model and the
-// fault-injection hooks.  Per-step stats and traced events are handled by
-// the primitives themselves.
-func (c *Controller) executeTrainStepwise(t *Train, bank, sub int, rows []dram.RowAddr) (float64, error) {
+// executeStepwise issues the train's commands one by one through the device
+// model — the full charge-share/latch/restore path with its fault hooks —
+// counting them locally and committing device and controller statistics
+// once, and emits each command's event when traced.
+func (c *Controller) executeStepwise(t *Train, bank, sub int, rows []dram.RowAddr) (float64, error) {
 	row := -1
 	if t.firstOut >= 0 {
 		row = rows[t.firstOut].Index
 	}
 	c.dev.BeginTrain(bank, sub, row)
+	aapSplit, aapNaive, apLat := c.stepLatencies()
+	traced := c.tr.Enabled()
+	var st dram.Stats
 	var total float64
-	for si := range t.steps {
-		s := &t.steps[si]
-		a1 := resolveTrainAddr(s.A1, s.Op1, rows)
-		var lat float64
-		var err error
-		if s.Kind == StepAAP {
-			lat, err = c.aap(bank, sub, a1, resolveTrainAddr(s.A2, s.Op2, rows), s.Comment)
-		} else {
-			lat, err = c.ap(bank, sub, a1, s.Comment)
+	var aaps, aps int64
+	var err error
+	for i := range t.steps {
+		s := &t.steps[i]
+		if err = c.issue(s, bank, sub, rows, &st); err != nil {
+			err = fmt.Errorf("train %q step %d %q: %w", t.name, i, s.TrainStep, err)
+			break
 		}
-		if err != nil {
-			return total, fmt.Errorf("train %q step %d %q: %w", t.name, si, s, err)
-		}
+		lat := s.latency(aapSplit, aapNaive, apLat)
 		total += lat
+		if s.Kind == StepAAP {
+			aaps++
+		} else {
+			aps++
+		}
+		if traced {
+			var ev obs.Event
+			c.fillEvent(&ev, s, bank, sub, rows, lat)
+			c.tr.Emit(ev)
+		}
 	}
+	c.dev.CommitStats(st)
 	c.mu.Lock()
-	c.stats.Trains++
+	c.stats.AAPs += aaps
+	c.stats.APs += aps
+	c.stats.BusyNS += total
+	if err == nil {
+		*t.completions(&c.stats)++
+	}
 	c.mu.Unlock()
-	return total, nil
+	return total, err
 }
 
-// emitTrainEvents replays the command events of one fused train execution,
-// byte-compatible with what executeTrainStepwise would have emitted (modulo
-// fault events, which cannot occur on the fused path).  Operand address
-// strings are interned per row index; comments are fixed at compile time.
-func (c *Controller) emitTrainEvents(t *Train, bank, sub int, rows []dram.RowAddr) {
-	tm := c.dev.Timing()
-	aapSplit, aapNaive, apLat := tm.AAPSplit(), tm.AAPNaive(), tm.AP()
-	addrStr := func(a dram.RowAddr, op int) string {
-		if op >= 0 {
-			return dRowStr(rows[op].Index)
+// issue runs one step's ACTIVATEs and PRECHARGE, counting them into st.
+func (c *Controller) issue(s *trainStep, bank, sub int, rows []dram.RowAddr, st *dram.Stats) error {
+	a1 := resolveTrainAddr(s.A1, s.Op1, rows)
+	p := dram.PhysAddr{Bank: bank, Subarray: sub, Row: a1}
+	if s.Kind == StepAAP {
+		a2 := resolveTrainAddr(s.A2, s.Op2, rows)
+		if err := c.dev.ActivateLocal(p, st); err != nil {
+			return fmt.Errorf("AAP(%v,%v) first activate: %w", a1, a2, err)
 		}
-		return a.String()
+		p.Row = a2
+		if err := c.dev.ActivateLocal(p, st); err != nil {
+			return fmt.Errorf("AAP(%v,%v) second activate: %w", a1, a2, err)
+		}
+	} else if err := c.dev.ActivateLocal(p, st); err != nil {
+		return fmt.Errorf("AP(%v): %w", a1, err)
 	}
+	return c.dev.PrechargeLocal(bank, st)
+}
+
+// fillEvent writes one step of a run on rows into ev as its command event,
+// assigning every field but Seq, so ev may be a recycled capture slot.
+func (c *Controller) fillEvent(ev *obs.Event, s *trainStep, bank, sub int, rows []dram.RowAddr, lat float64) {
+	a1 := resolveTrainAddr(s.A1, s.Op1, rows)
+	ev.Kind, ev.Name = obs.KindCommand, "AP"
+	ev.Bank, ev.Subarray = bank, sub
+	ev.StartNS, ev.DurNS, ev.Rows = -1, lat, 0
+	ev.A1, ev.A2 = addrStr(s.a1, s.Op1, rows), ""
+	ev.Comment, ev.NS, ev.Req = s.commentFor(rows), "", ""
+	var a2 dram.RowAddr
+	if s.Kind == StepAAP {
+		a2 = resolveTrainAddr(s.A2, s.Op2, rows)
+		ev.Name, ev.A2 = "AAP", addrStr(s.a2, s.Op2, rows)
+	}
+	ev.EnergyPJ = c.stepEnergyNJ(s.Kind, a1, a2) * 1000
+}
+
+// replayEvents emits the command events of one net-effect run, identical to
+// what executeStepwise emits (a net-effect run draws no faults).  Under a
+// ShardSet the whole train is written into the bank's capture shard in place;
+// otherwise each event goes through the tracer.
+func (c *Controller) replayEvents(t *Train, bank, sub int, rows []dram.RowAddr) {
+	aapSplit, aapNaive, apLat := c.stepLatencies()
 	if cb := c.tr.CommandBuffer(bank); cb.Active() {
 		evs := cb.Extend(len(t.steps))
 		for i := range t.steps {
 			s := &t.steps[i]
-			a1 := resolveTrainAddr(s.A1, s.Op1, rows)
-			ev := &evs[i]
-			ev.Kind = obs.KindCommand
-			ev.Bank, ev.Subarray = bank, sub
-			ev.StartNS = -1
-			ev.Rows = 0
-			ev.A1 = addrStr(s.A1, s.Op1)
-			ev.A2 = ""
-			ev.Comment = s.Comment
-			if s.Kind == StepAAP {
-				a2 := resolveTrainAddr(s.A2, s.Op2, rows)
-				ev.Name = "AAP"
-				ev.A2 = addrStr(s.A2, s.Op2)
-				ev.DurNS = aapNaive
-				if c.SplitDecoder && (a1.Group == dram.GroupB) != (a2.Group == dram.GroupB) {
-					ev.DurNS = aapSplit
-				}
-				ev.EnergyPJ = c.stepEnergyNJ(StepAAP, a1, a2) * 1000
-			} else {
-				ev.Name = "AP"
-				ev.DurNS = apLat
-				ev.EnergyPJ = c.stepEnergyNJ(StepAP, a1, dram.RowAddr{}) * 1000
-			}
+			c.fillEvent(&evs[i], s, bank, sub, rows, s.latency(aapSplit, aapNaive, apLat))
 		}
 		return
 	}
 	for i := range t.steps {
 		s := &t.steps[i]
-		a1 := resolveTrainAddr(s.A1, s.Op1, rows)
-		if s.Kind == StepAAP {
-			a2 := resolveTrainAddr(s.A2, s.Op2, rows)
-			lat := aapNaive
-			if c.SplitDecoder && (a1.Group == dram.GroupB) != (a2.Group == dram.GroupB) {
-				lat = aapSplit
-			}
-			c.emitCmd("AAP", bank, sub, addrStr(s.A1, s.Op1), addrStr(s.A2, s.Op2),
-				lat, c.stepEnergyNJ(StepAAP, a1, a2), s.Comment)
-		} else {
-			c.emitCmd("AP", bank, sub, addrStr(s.A1, s.Op1), "",
-				apLat, c.stepEnergyNJ(StepAP, a1, dram.RowAddr{}), s.Comment)
-		}
+		var ev obs.Event
+		c.fillEvent(&ev, s, bank, sub, rows, s.latency(aapSplit, aapNaive, apLat))
+		c.tr.Emit(ev)
 	}
 }

@@ -240,7 +240,8 @@ func TestTrainFusedMatchesStepwise(t *testing.T) {
 	// Hand trains outside what the compiler emits: n-wordline captures
 	// and negated sensing (B5/B7/B8/B9), the sensed DCC cell overwritten
 	// through its own n-wordline, designated rows read before any write,
-	// control-row sensing, and self-copies.
+	// a designated row's initial value kept elsewhere while the row is
+	// rewritten, control-row sensing, and self-copies.
 	hand := []*controller.Train{
 		mustTrain(t, "negations", 3, []controller.TrainStep{
 			aap(none, 0, dram.B(5), -1),       // DCC0 = !$0
@@ -257,6 +258,17 @@ func TestTrainFusedMatchesStepwise(t *testing.T) {
 			aap(dram.B(5), -1, dram.B(1), -1),  // T1 = !DCC0 (initial)
 			aap(dram.B(14), -1, dram.B(0), -1), // T0 = MAJ(DCC0, T1, T2)
 			aap(dram.B(15), -1, none, 0),       // $0 = MAJ(DCC1, T0, T3)
+		}),
+		mustTrain(t, "initial T0 kept", 3, []controller.TrainStep{
+			aap(dram.B(0), -1, none, 2),       // $2 = T0 (initial)
+			aap(none, 0, dram.B(0), -1),       // T0 = $0
+			aap(none, 1, dram.B(1), -1),       // T1 = $1
+			aap(dram.C(0), -1, dram.B(2), -1), // T2 = 0
+			ap(dram.B(12)),                    // T0 = T1 = T2 = $0 & $1
+		}),
+		mustTrain(t, "initial T0 in T1", 1, []controller.TrainStep{
+			aap(dram.B(0), -1, dram.B(1), -1), // T1 = T0 (initial)
+			aap(none, 0, dram.B(0), -1),       // T0 = $0
 		}),
 		mustTrain(t, "constants", 2, []controller.TrainStep{
 			aap(dram.C(0), -1, dram.B(10), -1), // T2 = T3 = 0

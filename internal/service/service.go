@@ -795,7 +795,9 @@ func (s *Server) handleFuncCompile(w http.ResponseWriter, r *http.Request) error
 	}
 	f, err := s.sys.Compile(ns.name+"/"+name, exprs...)
 	if err != nil {
-		return err
+		// A function that does not compile (too many operands, more live
+		// values than designated rows) is the client's to fix.
+		return badRequestf("%v", err)
 	}
 	ns.mu.Lock()
 	ns.funcs[name] = f

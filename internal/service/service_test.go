@@ -517,6 +517,65 @@ func TestServiceLibraryDifferential(t *testing.T) {
 	}
 }
 
+// spillExpr returns a function needing seven live values at once, one more
+// than the designated rows hold: seven pairwise ANDs, each combined with
+// every other (as internal/compile's TestCompileSpillReport builds it).
+func spillExpr() string {
+	ps := make([]string, 7)
+	for i := range ps {
+		ps[i] = fmt.Sprintf(`{"and":[{"var":%d},{"var":%d}]}`, 2*i, 2*i+1)
+	}
+	var qs []string
+	for i := range ps {
+		for j := i + 1; j < len(ps); j++ {
+			qs = append(qs, `{"and":[`+ps[i]+`,`+ps[j]+`]}`)
+		}
+	}
+	return `{"or":[` + strings.Join(qs, ",") + `]}`
+}
+
+// TestFuncCompileRejectsUncompilable: a function that cannot compile is a
+// bad request, not a server error — one naming a variable index far past the
+// operand limit (rejected without allocating per input) and one needing more
+// live values than the designated rows hold.
+func TestFuncCompileRejectsUncompilable(t *testing.T) {
+	_, ts, _ := newTestService(t, Config{})
+	base := ts.URL + "/v1/namespaces/t0"
+	if st, b, _ := do(t, "PUT", base, nil); st != http.StatusCreated {
+		t.Fatalf("ns create: %d %s", st, b)
+	}
+	for name, body := range map[string]string{
+		"big":   `{"outputs":[{"var":4194304}]}`,
+		"spill": `{"outputs":[` + spillExpr() + `]}`,
+	} {
+		st, b, _ := do(t, "PUT", base+"/funcs/"+name, []byte(body))
+		if st != http.StatusBadRequest || errKind(t, b) != "bad_request" {
+			t.Errorf("compile %s: %d %.200s, want 400 bad_request", name, st, b)
+		}
+	}
+}
+
+// exprParseGood and exprParseBad are the wire expressions TestExprParse
+// checks, and FuzzParseExpr's seed corpus; each bad one maps to a fragment of
+// its error.
+var (
+	exprParseGood = []string{
+		`{"var": 3}`,
+		`{"lit": true}`,
+		`{"not": {"var": 0}}`,
+		`{"and": [{"var": 0}, {"var": 1}, {"var": 2}]}`,
+		`{"maj": [{"var": 0}, {"var": 1}, {"lit": false}]}`,
+		`{"xnor": [{"var": 0}, {"nand": [{"var": 1}, {"var": 2}]}]}`,
+	}
+	exprParseBad = map[string]string{
+		`{}`:                                "exactly one",
+		`{"var": 0, "lit": true}`:           "exactly one",
+		`{"var": -1}`:                       "negative",
+		`{"maj": [{"var": 0}, {"var": 1}]}`: "exactly 3",
+		`{"and": []}`:                       "at least one",
+	}
+)
+
 // TestExprParse covers the wire-format validation corners.
 func TestExprParse(t *testing.T) {
 	parse := func(s string) (*ambit.Expr, error) {
@@ -526,30 +585,50 @@ func TestExprParse(t *testing.T) {
 		}
 		return e.parse()
 	}
-	good := []string{
-		`{"var": 3}`,
-		`{"lit": true}`,
-		`{"not": {"var": 0}}`,
-		`{"and": [{"var": 0}, {"var": 1}, {"var": 2}]}`,
-		`{"maj": [{"var": 0}, {"var": 1}, {"lit": false}]}`,
-		`{"xnor": [{"var": 0}, {"nand": [{"var": 1}, {"var": 2}]}]}`,
-	}
-	for _, s := range good {
+	for _, s := range exprParseGood {
 		if _, err := parse(s); err != nil {
 			t.Errorf("parse(%s): %v", s, err)
 		}
 	}
-	bad := map[string]string{
-		`{}`:                                "exactly one",
-		`{"var": 0, "lit": true}`:           "exactly one",
-		`{"var": -1}`:                       "negative",
-		`{"maj": [{"var": 0}, {"var": 1}]}`: "exactly 3",
-		`{"and": []}`:                       "at least one",
-	}
-	for s, frag := range bad {
+	for s, frag := range exprParseBad {
 		_, err := parse(s)
 		if err == nil || !strings.Contains(err.Error(), frag) {
 			t.Errorf("parse(%s) = %v, want error containing %q", s, err, frag)
 		}
 	}
+}
+
+// FuzzParseExpr drives arbitrary bytes through the function wire format:
+// decode into exprJSON, parse, and compile on one System.  Nothing may
+// panic, and an input either yields a result or comes back as an error.
+func FuzzParseExpr(f *testing.F) {
+	for _, s := range exprParseGood {
+		f.Add([]byte(s))
+	}
+	for s := range exprParseBad {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(`{"var":4194304}`))
+	f.Add([]byte(spillExpr()))
+	sys, err := ambit.New()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { sys.Close() })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e exprJSON
+		if json.Unmarshal(data, &e) != nil {
+			return
+		}
+		x, err := e.parse()
+		if err != nil {
+			return
+		}
+		if x == nil {
+			t.Fatalf("parse(%q) returned neither an expression nor an error", data)
+		}
+		if fn, err := sys.Compile("fuzz", x); err == nil && fn == nil {
+			t.Fatalf("Compile(%q) returned neither a function nor an error", data)
+		}
+	})
 }
