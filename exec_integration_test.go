@@ -369,6 +369,82 @@ var directOutcomeCases = []struct {
 		}
 		return newDirectGolden(buf.String(), sys.Stats())
 	}},
+	{"traced-faulted-plain+ecc", func(t *testing.T, workers int) directGolden {
+		var buf bytes.Buffer
+		tr := NewTracer(NewJSONLSink(&buf))
+		sys, err := New(WithExecWorkers(workers), WithTracer(tr), WithFaultModel(goldenFaultConfig), WithManyRowMaj(3),
+			WithReliability(Reliability{ECC: true, MaxRetries: 4}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := faultedWorkload(t, sys)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		st := sys.Stats()
+		if st.InjectedFaults == 0 {
+			t.Fatal("workload drew no faults; the golden is vacuous")
+		}
+		return newDirectGolden([]any{data, buf.String()}, st)
+	}},
+	{"faulted-vendorA-85C-maj5", func(t *testing.T, workers int) directGolden {
+		p, ok := FaultProfileByName("vendorA-85C")
+		if !ok {
+			t.Fatal("builtin vendorA-85C missing")
+		}
+		sys, err := New(WithExecWorkers(workers), WithFaultProfile(p), WithManyRowMaj(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := maj5Workload(t, sys)
+		st := sys.Stats()
+		if st.InjectedFaults == 0 {
+			t.Fatal("workload drew no faults; the golden is vacuous")
+		}
+		return newDirectGolden(data, st)
+	}},
+}
+
+// maj5Workload runs 5-input majorities at width 16 — two staged copies of
+// each source plus six fill rows, so bitlines sit at the minimum charge
+// margin and a profile's PatternBias steers the many-row draws — including
+// one whose destination is a source, around a binary op, and returns every
+// vector's final contents.
+func maj5Workload(t *testing.T, sys *System) [][]uint64 {
+	t.Helper()
+	bits := 4 * int64(sys.RowSizeBits())
+	vs := make([]*Bitvector, 6)
+	rng := rand.New(rand.NewSource(161803))
+	for i := range vs {
+		vs[i] = sys.MustAlloc(bits)
+		w := make([]uint64, vs[i].WordCount())
+		for j := range w {
+			w[j] = rng.Uint64()
+		}
+		if err := vs[i].Write(w, Backdoor()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []func() error{
+		func() error { return sys.Maj(vs[5], vs[0], vs[1], vs[2], vs[3], vs[4]) },
+		func() error { return sys.Maj(vs[0], vs[0], vs[1], vs[2], vs[3], vs[5]) },
+		func() error { return sys.And(vs[1], vs[0], vs[5]) },
+		func() error { return sys.Maj(vs[2], vs[1], vs[3], vs[4], vs[5], vs[0]) },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	var out [][]uint64
+	for _, v := range vs {
+		words, err := v.Read(Backdoor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, words)
+	}
+	return out
 }
 
 // goldenFaultConfig is the plain FaultConfig the faulted scenarios and the
@@ -391,8 +467,9 @@ func faultedDirectGolden(t *testing.T, opts ...Option) directGolden {
 }
 
 // TestDirectOutcomeGolden pins the exact outcome of the direct-op workloads
-// — faulted (raised vendorA-85C profile, plain FaultConfig, plain+ECC),
-// plain, and traced — at workers 1, 2 and 8: the worker-count differentials
+// — faulted (raised vendorA-85C profile, plain FaultConfig, plain+ECC, and
+// 5-input majorities under the shipped vendorA-85C profile), plain, traced,
+// and traced faulted+ECC — at workers 1, 2 and 8: the worker-count differentials
 // prove determinism, this proves the outcome itself does not move.  Run with
 // -update to rewrite testdata/direct_outcomes.json after an intentional
 // change.
