@@ -345,6 +345,73 @@ func BenchmarkDirectOps(b *testing.B) {
 	}
 }
 
+// BenchmarkFaultedDirectOps measures the direct op API under an armed fault
+// model, at the perfbench faulted-ecc configuration: the vendorB-25C profile
+// at 1/1000 of its rates, TMR ECC with up to 3 retries and MAJ-5, on 8-row
+// vectors.  The sub-benchmarks are the query's ECC And, in-place ECC Xor and
+// 3-input Maj, and the whole query (those three plus two popcounts).
+func BenchmarkFaultedDirectOps(b *testing.B) {
+	for _, name := range []string{"And", "XorInPlace", "Maj", "Query"} {
+		b.Run(name, func(b *testing.B) {
+			profile, ok := FaultProfileByName("vendorB-25C")
+			if !ok {
+				b.Fatal("builtin vendorB-25C missing")
+			}
+			profile.Base.Seed = 1
+			profile.Base.TRABitRate *= 1e-3
+			profile.Base.TRARowRate *= 1e-3
+			profile.Base.DCCBitRate *= 1e-3
+			sys, err := New(WithFaultProfile(profile), WithReliability(Reliability{ECC: true, MaxRetries: 3}), WithManyRowMaj(5))
+			if err != nil {
+				b.Fatal(err)
+			}
+			bits := 8 * int64(sys.RowSizeBits())
+			var v [7]*Bitvector
+			rng := rand.New(rand.NewSource(1))
+			for i := range v {
+				v[i] = sys.MustAlloc(bits)
+				w := make([]uint64, v[i].WordCount())
+				for j := range w {
+					w[j] = rng.Uint64()
+				}
+				if err := v[i].Write(w, Backdoor()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			x, y, z, t, m := v[0], v[1], v[2], v[5], v[6]
+			ops := map[string]func() error{
+				"And":        func() error { return sys.And(t, x, y) },
+				"XorInPlace": func() error { return sys.Xor(t, t, z) },
+				"Maj":        func() error { return sys.Maj(m, t, v[3], v[4]) },
+				"Query": func() error {
+					if err := sys.And(t, x, y); err != nil {
+						return err
+					}
+					if err := sys.Xor(t, t, z); err != nil {
+						return err
+					}
+					if err := sys.Maj(m, t, v[3], v[4]); err != nil {
+						return err
+					}
+					if _, err := sys.Popcount(t); err != nil {
+						return err
+					}
+					_, err := sys.Popcount(m)
+					return err
+				},
+			}
+			op := ops[name]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCoherenceAblation prices Ambit app-level operations with and
 // without the Section 5.4.4 coherence charge (DESIGN.md ablation 6).
 func BenchmarkCoherenceAblation(b *testing.B) {

@@ -52,12 +52,25 @@ type Controller struct {
 	// fused run).
 	noFuse bool
 
-	// netScratch holds each bank's register file for compiled-train
-	// evaluation; per-bank access is serialized by the caller.
-	netScratch []netScratch
+	// scratch holds each bank's reusable host buffers; per-bank access is
+	// serialized by the caller.
+	scratch []bankScratch
 
 	mu    sync.Mutex // guards stats
 	stats Stats
+}
+
+// bankScratch is one bank's reusable host buffers.  The caller serializes
+// per-bank access, so each bank owns its scratch outright.
+type bankScratch struct {
+	// net is the register file of net-effect evaluation.
+	net netScratch
+	// masks holds a train's fault masks, drawn up front (ExecuteTrain).
+	masks [][]uint64
+	// tmr holds the three TMR replicas read back for the vote, then the
+	// aliased source saved for a retry (ExecuteOpReliable); allocated on
+	// the bank's first ECC row.
+	tmr [4][]uint64
 }
 
 // StepEnergyFunc returns the energy in nanojoules of one AAP/AP primitive
@@ -95,7 +108,7 @@ func (c *Controller) stepEnergyNJ(kind StepKind, a1, a2 dram.RowAddr) float64 {
 // New creates a controller over dev with the split decoder enabled (the
 // paper's design point).
 func New(dev *dram.Device) *Controller {
-	return &Controller{dev: dev, SplitDecoder: true, netScratch: make([]netScratch, dev.Geometry().Banks)}
+	return &Controller{dev: dev, SplitDecoder: true, scratch: make([]bankScratch, dev.Geometry().Banks)}
 }
 
 // Device returns the underlying device.

@@ -189,7 +189,7 @@ func (c *Controller) ExecuteOpRowsFused(op Op, bank int, trains []RowTrain) (flo
 			return 0, false
 		}
 	}
-	bk, sc := c.dev.Bank(bank), &c.netScratch[bank]
+	bk, sc := c.dev.Bank(bank), &c.scratch[bank].net
 	for i := range trains {
 		rt := &trains[i]
 		rows := [3]dram.RowAddr{rt.DK, rt.DI, rt.DJ}

@@ -37,10 +37,11 @@ import (
 // errors.Is.
 var ErrUncorrectable = errors.New("uncorrectable row (ECC retries exhausted)")
 
-// VoteFunc majority-decodes three replica rows, returning the corrected data
-// and the number of replica bits that disagreed with the majority.  The
-// canonical implementation is internal/ecc's TMR vote (ecc.VoteRows).
-type VoteFunc func(r0, r1, r2 []uint64) (data []uint64, disagreeingBits int, err error)
+// VoteFunc majority-decodes three replica rows into dst, which may alias any
+// of them, and returns the number of replica bits that disagreed with the
+// majority.  The canonical implementation is internal/ecc's TMR vote
+// (ecc.VoteRows).
+type VoteFunc func(dst, r0, r1, r2 []uint64) (disagreeingBits int, err error)
 
 // Reliability is the controller's execute-verify-retry policy.
 type Reliability struct {
@@ -116,33 +117,40 @@ func (c *Controller) rowAccessNS() float64 {
 // sources after dk's train has overwritten them, an aliased source is
 // preserved with one extra row read up front and restored with one row write
 // before each retry, both charged at full row-access latency.
+//
+// The replicas are read back into the bank's scratch rows and voted in place,
+// so a row allocates nothing.
 func (c *Controller) ExecuteOpReliable(op Op, bank, sub int, dk, di, dj, scratch1, scratch2 dram.RowAddr, pol Reliability, vote VoteFunc) (RowResult, error) {
 	var res RowResult
 	if vote == nil {
 		return res, fmt.Errorf("controller: ExecuteOpReliable: nil vote function")
 	}
+	traced := c.tr.Enabled()
 	thr := pol.thresholdBits(c.dev.Geometry().RowSizeBytes * 8)
 	accessNS := c.rowAccessNS()
 	dkPhys := dram.PhysAddr{Bank: bank, Subarray: sub, Row: dk}
 	replicas := [3]dram.RowAddr{scratch1, scratch2, dk}
+	rows := c.tmrRows(bank)
 	var saved []uint64
 	if aliased := dk == di || (!op.Unary() && dk == dj); aliased && pol.MaxRetries > 0 {
-		row, err := c.dev.ReadRow(dkPhys)
-		if err != nil {
+		saved = rows[3]
+		if err := c.dev.ReadRowInto(dkPhys, saved); err != nil {
 			return res, err
 		}
-		saved = row
 		res.LatencyNS += accessNS
-		c.emitCmd("SAVE", bank, sub, dk.String(), "", accessNS, 0, "preserve aliased source for retry")
+		if traced {
+			c.emitCmd("SAVE", bank, sub, dk.String(), "", accessNS, 0, "preserve aliased source for retry")
+		}
 	}
-	var rows [3][]uint64
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 && saved != nil {
 			if err := c.dev.WriteRow(dkPhys, saved); err != nil {
 				return res, err
 			}
 			res.LatencyNS += accessNS
-			c.emitCmd("RESTORE", bank, sub, dk.String(), "", accessNS, 0, "restore aliased source before retry")
+			if traced {
+				c.emitCmd("RESTORE", bank, sub, dk.String(), "", accessNS, 0, "restore aliased source before retry")
+			}
 		}
 		for _, dst := range replicas {
 			lat, err := c.ExecuteOp(op, bank, sub, dst, di, dj)
@@ -152,15 +160,16 @@ func (c *Controller) ExecuteOpReliable(op Op, bank, sub int, dk, di, dj, scratch
 			}
 		}
 		for i, dst := range replicas {
-			row, err := c.dev.ReadRow(dram.PhysAddr{Bank: bank, Subarray: sub, Row: dst})
-			if err != nil {
+			if err := c.dev.ReadRowInto(dram.PhysAddr{Bank: bank, Subarray: sub, Row: dst}, rows[i]); err != nil {
 				return res, err
 			}
-			rows[i] = row
 		}
 		res.LatencyNS += 3 * accessNS
-		c.emitCmd("VERIFY", bank, sub, dk.String(), "", 3*accessNS, 0, "TMR replica readback")
-		data, bad, err := vote(rows[0], rows[1], rows[2])
+		if traced {
+			c.emitCmd("VERIFY", bank, sub, dk.String(), "", 3*accessNS, 0, "TMR replica readback")
+		}
+		voted := rows[0]
+		bad, err := vote(voted, rows[0], rows[1], rows[2])
 		if err != nil {
 			return res, err
 		}
@@ -169,13 +178,15 @@ func (c *Controller) ExecuteOpReliable(op Op, bank, sub int, dk, di, dj, scratch
 		}
 		if bad <= thr {
 			if bad > 0 {
-				if err := c.dev.WriteRow(dkPhys, data); err != nil {
+				if err := c.dev.WriteRow(dkPhys, voted); err != nil {
 					return res, err
 				}
 				res.LatencyNS += accessNS
 				res.CorrectedBits += int64(bad)
-				c.emitCmd("CORRECT", bank, sub, dk.String(), "",
-					accessNS, 0, fmt.Sprintf("majority-corrected %d bits", bad))
+				if traced {
+					c.emitCmd("CORRECT", bank, sub, dk.String(), "",
+						accessNS, 0, fmt.Sprintf("majority-corrected %d bits", bad))
+				}
 			}
 			return res, nil
 		}
@@ -184,7 +195,30 @@ func (c *Controller) ExecuteOpReliable(op Op, bank, sub int, dk, di, dj, scratch
 				op, bank, sub, dk, bad, attempt+1, ErrUncorrectable)
 		}
 		res.Retries++
-		c.emitCmd("RETRY", bank, sub, dk.String(), "",
-			0, 0, fmt.Sprintf("%d disagreeing bits > threshold %d; re-executing train", bad, thr))
+		if traced {
+			c.emitCmd("RETRY", bank, sub, dk.String(), "",
+				0, 0, fmt.Sprintf("%d disagreeing bits > threshold %d; re-executing train", bad, thr))
+		}
 	}
+}
+
+// tmrRows returns the bank's TMR scratch rows — three replica readbacks,
+// then the saved aliased source — allocating them on the bank's first ECC
+// row, so a System that never runs ECC never pays for them.  An out-of-range
+// bank gets throwaway rows; its first command reports the address.
+func (c *Controller) tmrRows(bank int) *[4][]uint64 {
+	var rows *[4][]uint64
+	if bank >= 0 && bank < len(c.scratch) {
+		rows = &c.scratch[bank].tmr
+	} else {
+		rows = new([4][]uint64)
+	}
+	if rows[0] == nil {
+		words := c.dev.Geometry().WordsPerRow()
+		buf := make([]uint64, len(rows)*words)
+		for i := range rows {
+			rows[i] = buf[i*words : (i+1)*words : (i+1)*words]
+		}
+	}
+	return rows
 }

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -10,19 +11,16 @@ import (
 
 // majorityVote is a standalone TMR vote for tests (mirrors ecc.VoteRows,
 // which this package cannot import).
-func majorityVote(r0, r1, r2 []uint64) ([]uint64, int, error) {
-	data := make([]uint64, len(r0))
+func majorityVote(dst, r0, r1, r2 []uint64) (int, error) {
 	bad := 0
 	for i := range r0 {
 		maj := r0[i]&r1[i] | r1[i]&r2[i] | r2[i]&r0[i]
-		data[i] = maj
 		for _, r := range []uint64{r0[i], r1[i], r2[i]} {
-			for d := r ^ maj; d != 0; d &= d - 1 {
-				bad++
-			}
+			bad += bits.OnesCount64(r ^ maj)
 		}
+		dst[i] = maj
 	}
-	return data, bad, nil
+	return bad, nil
 }
 
 func TestReliabilityValidate(t *testing.T) {

@@ -137,6 +137,9 @@ type Train struct {
 	// writes no operand; it provides the destination-row context handed to
 	// the fault injector via BeginTrain.
 	firstOut int
+	// faults lists the injector consultations one run makes, in command
+	// order (see NewTrain); an armed run draws them up front.
+	faults []dram.FaultEvent
 }
 
 // NewTrain validates and compiles a step sequence over the given number of
@@ -180,6 +183,16 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 		}
 		return nil
 	}
+	// negations appends one DCC draw per negation wordline an ACTIVATE of
+	// a restores or writes (Subarray.overwrite); operand slots and control
+	// rows raise no negation wordline.
+	negations := func(a dram.RowAddr) {
+		for _, wl := range dram.BGroupWordlines(a.Index) {
+			if wl.Negated() {
+				t.faults = append(t.faults, dram.FaultDCC)
+			}
+		}
+	}
 	for i, s := range steps {
 		ts := &t.steps[i]
 		*ts = trainStep{TrainStep: s, slot: -1}
@@ -197,6 +210,14 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 			}
 			wc1 = dram.WordlineCount(s.A1)
 			ts.a1 = s.A1.String()
+			if s.A1.Group == dram.GroupB {
+				// A first ACTIVATE draws for a TRA's majority, then
+				// for each negation wordline it restores.
+				if wc1 == 3 {
+					t.faults = append(t.faults, dram.FaultTRA)
+				}
+				negations(s.A1)
+			}
 		}
 		t.acts[wc1-1]++
 		t.pres++
@@ -225,6 +246,7 @@ func NewTrain(name string, operands int, steps []TrainStep) (*Train, error) {
 			t.acts[dram.WordlineCount(s.A2)-1]++
 			b2 = s.A2.Group == dram.GroupB
 			ts.a2 = s.A2.String()
+			negations(s.A2)
 		}
 		t.aaps++
 		if b1 != b2 {
@@ -372,26 +394,57 @@ func (t *Train) checkOperands(g dram.Geometry, bank, sub int, rows []dram.RowAdd
 // operand rows (D-group, one per operand slot), returning the train's total
 // command latency.  When nothing can observe the intermediate states — the
 // train has a net program, the operand layout lets it order its reads and
-// writes (layoutFusable), and the subarray is precharged with no fault hook
-// armed — it runs the net effect in one word pass, commits the census, and
-// replays the command events if traced.  Otherwise it issues the steps one
-// by one through the device model, where fault hooks fire.  Both routes give
-// identical cells, latencies, statistics and trace bytes.
+// writes (layoutFusable), and the subarray is precharged with no one-shot
+// fault mask set — it runs the net effect in one word pass, commits the
+// census, and replays the command events if traced.  Under a fault injector
+// it first takes the train's draws up front, in command order: they never
+// read row data, so when none fires the net effect is still exact, and when
+// one does the steps replay those same masks one by one through the device
+// model.  Every route gives identical cells, latencies, statistics, fault
+// draws and trace bytes.
 func (c *Controller) ExecuteTrain(t *Train, bank, sub int, rows []dram.RowAddr) (float64, error) {
 	if err := t.checkOperands(c.dev.Geometry(), bank, sub, rows); err != nil {
 		return 0, err
 	}
 	if t.net != nil && !c.noFuse && t.layoutFusable(rows) {
-		if sa := c.dev.Bank(bank).Subarray(sub); sa.FusedEligible() {
-			t.net.run(sa, rows, c.dev.Geometry().WordsPerRow(), &c.netScratch[bank])
-			lat := c.commitTrains(t, 1)
-			if c.tr.Enabled() {
-				c.replayEvents(t, bank, sub, rows)
+		bk := c.dev.Bank(bank)
+		sa := bk.Subarray(sub)
+		if sa.FusedEligible() {
+			return c.runNet(t, sa, bank, sub, rows), nil
+		}
+		// The bank must be precharged too: with another subarray open
+		// the first ACTIVATE fails before any draw.
+		if sa.DrawEligible() && !bk.Activated() {
+			c.dev.BeginTrain(bank, sub, t.destRow(rows))
+			if !sa.DrawFaults(t.faults, &c.scratch[bank].masks) {
+				return c.runNet(t, sa, bank, sub, rows), nil
 			}
-			return lat, nil
+			lat, err := c.executeStepwise(t, bank, sub, rows)
+			sa.EndReplay()
+			return lat, err
 		}
 	}
 	return c.executeStepwise(t, bank, sub, rows)
+}
+
+// runNet applies t's net effect to sa, commits its census, and replays its
+// command events when traced.
+func (c *Controller) runNet(t *Train, sa *dram.Subarray, bank, sub int, rows []dram.RowAddr) float64 {
+	t.net.run(sa, rows, c.dev.Geometry().WordsPerRow(), &c.scratch[bank].net)
+	lat := c.commitTrains(t, 1)
+	if c.tr.Enabled() {
+		c.replayEvents(t, bank, sub, rows)
+	}
+	return lat
+}
+
+// destRow returns the fault context's destination row for a run on rows:
+// the first written operand's row index, -1 when the train writes none.
+func (t *Train) destRow(rows []dram.RowAddr) int {
+	if t.firstOut < 0 {
+		return -1
+	}
+	return rows[t.firstOut].Index
 }
 
 // ScheduleTrain executes the train and reserves the bank's timeline starting
@@ -454,11 +507,7 @@ func (t *Train) layoutFusable(rows []dram.RowAddr) bool {
 // counting them locally and committing device and controller statistics
 // once, and emits each command's event when traced.
 func (c *Controller) executeStepwise(t *Train, bank, sub int, rows []dram.RowAddr) (float64, error) {
-	row := -1
-	if t.firstOut >= 0 {
-		row = rows[t.firstOut].Index
-	}
-	c.dev.BeginTrain(bank, sub, row)
+	c.dev.BeginTrain(bank, sub, t.destRow(rows))
 	aapSplit, aapNaive, apLat := c.stepLatencies()
 	traced := c.tr.Enabled()
 	var st dram.Stats
@@ -533,7 +582,7 @@ func (c *Controller) fillEvent(ev *obs.Event, s *trainStep, bank, sub int, rows 
 }
 
 // replayEvents emits the command events of one net-effect run, identical to
-// what executeStepwise emits (a net-effect run draws no faults).  Under a
+// what executeStepwise emits (no fault fired in a net-effect run).  Under a
 // ShardSet the whole train is written into the bank's capture shard in place;
 // otherwise each event goes through the tracer.
 func (c *Controller) replayEvents(t *Train, bank, sub int, rows []dram.RowAddr) {

@@ -1,5 +1,7 @@
 package dram
 
+import "fmt"
+
 // Persistent fault injection.
 //
 // The one-shot InjectTRAFault hook (subarray.go) lets tests arm a single
@@ -90,3 +92,71 @@ func (s *Subarray) setInjector(fi FaultInjector, bank, sub int) {
 
 // beginTrain records the destination row of the current command train.
 func (s *Subarray) beginTrain(row int) { s.fctx.Row = row }
+
+// FaultEvent is the kind of one injector consultation: a triple-row
+// activation's TRAFaultMask or a negation write's DCCFaultMask.
+type FaultEvent uint8
+
+const (
+	// FaultTRA is the draw of a triple-row activation.
+	FaultTRA FaultEvent = iota
+	// FaultDCC is the draw of a write through a negation wordline.
+	FaultDCC
+)
+
+// drawFault returns the mask of one injector consultation: while a train
+// replays (DrawFaults) the next predrawn mask, which must be of the same
+// kind; otherwise the injector's draw.
+func (s *Subarray) drawFault(e FaultEvent, words int) []uint64 {
+	if s.replaying {
+		if len(s.replay) == 0 || s.replayKinds[0] != e {
+			panic("dram: activation does not match the train's predrawn fault events")
+		}
+		m := s.replay[0]
+		s.replay, s.replayKinds = s.replay[1:], s.replayKinds[1:]
+		return m
+	}
+	if e == FaultTRA {
+		return s.injector.TRAFaultMask(s.fctx, words)
+	}
+	return s.injector.DCCFaultMask(s.fctx, words)
+}
+
+// DrawFaults takes a command train's injector draws up front: it consults
+// the installed injector once per event, in order and in the train's
+// context (BeginTrain), exactly as stepping the train would, keeping the
+// masks in *masks (whose storage it reuses).  TRA and DCC draws never read
+// row data, so taking them before the train runs changes no mask and no
+// injector state.  When no mask fired it returns false, and the caller may
+// apply the train's net effect instead of stepping it.  Otherwise it returns
+// true with a replay armed: the train's activations take the predrawn masks
+// in place of the injector, and the caller must step the train and then call
+// EndReplay.  With no injector installed there is nothing to draw.
+func (s *Subarray) DrawFaults(events []FaultEvent, masks *[][]uint64) bool {
+	if s.injector == nil {
+		return false
+	}
+	words := s.geom.WordsPerRow()
+	ms := (*masks)[:0]
+	fired := false
+	for _, e := range events {
+		m := s.drawFault(e, words)
+		fired = fired || m != nil
+		ms = append(ms, m)
+	}
+	*masks = ms
+	if fired {
+		s.replay, s.replayKinds, s.replaying = ms, events, true
+	}
+	return fired
+}
+
+// EndReplay closes the replay DrawFaults armed.  A predrawn mask left
+// unconsumed means the train's event list disagrees with its activations —
+// a bug, not a runtime condition — and panics.
+func (s *Subarray) EndReplay() {
+	if n := len(s.replay); n != 0 {
+		panic(fmt.Sprintf("dram: %d predrawn fault mask(s) left unconsumed by the train", n))
+	}
+	s.replay, s.replayKinds, s.replaying = nil, nil, false
+}

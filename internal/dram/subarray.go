@@ -48,6 +48,13 @@ type Subarray struct {
 	injector FaultInjector
 	fctx     FaultContext
 
+	// replay, while replaying is set, supplies the injector consultations
+	// of one command train from masks drawn up front (DrawFaults), with
+	// the kind each must be.
+	replay      [][]uint64
+	replayKinds []FaultEvent
+	replaying   bool
+
 	// scratch buffers reused by sense() so the activation hot path does
 	// not allocate.
 	scratch [3][]uint64
@@ -113,6 +120,14 @@ func (s *Subarray) Activated() bool { return s.ampsOn }
 // injector observe individual activations, which a fused train skips).
 func (s *Subarray) FusedEligible() bool {
 	return !s.ampsOn && s.faultMask == nil && s.injector == nil
+}
+
+// DrawEligible is FusedEligible for a subarray with a fault injector
+// installed: precharged, with no one-shot TRA mask set.  A train may then
+// take its draws up front (DrawFaults) and, when none fires, apply its net
+// state transition.
+func (s *Subarray) DrawEligible() bool {
+	return !s.ampsOn && s.faultMask == nil && s.injector != nil
 }
 
 // CellData returns the live storage backing one wordline, allocating lazily.
@@ -245,7 +260,7 @@ func (s *Subarray) sense(wls []Wordline) error {
 			s.faultMask = nil
 		}
 		if s.injector != nil {
-			if m := s.injector.TRAFaultMask(s.fctx, w); m != nil {
+			if m := s.drawFault(FaultTRA, w); m != nil {
 				for i := 0; i < w && i < len(m); i++ {
 					s.amps[i] ^= m[i]
 				}
@@ -314,7 +329,7 @@ func (s *Subarray) overwrite(wls []Wordline) {
 		if wl.Negated() {
 			var m []uint64
 			if s.injector != nil {
-				m = s.injector.DCCFaultMask(s.fctx, len(dst))
+				m = s.drawFault(FaultDCC, len(dst))
 			}
 			for i := range dst {
 				dst[i] = ^s.amps[i]

@@ -19,6 +19,7 @@ package ecc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ambit/internal/controller"
 )
@@ -73,31 +74,37 @@ func FromReplicas(r0, r1, r2 []uint64) (*Codeword, error) {
 // corrected; matching faults in two replicas are miscorrected silently (the
 // fundamental TMR limit).
 func (c *Codeword) Decode() (data []uint64, correctedBits int) {
-	n := c.Len()
-	data = make([]uint64, n)
-	for w := 0; w < n; w++ {
-		a, b, d := c.replicas[0][w], c.replicas[1][w], c.replicas[2][w]
-		maj := a&b | b&d | d&a
-		data[w] = maj
-		for _, r := range []uint64{a, b, d} {
-			correctedBits += popcount(r ^ maj)
-		}
-	}
-	return data, correctedBits
+	data = make([]uint64, c.Len())
+	return data, vote(data, c.replicas[0], c.replicas[1], c.replicas[2])
 }
 
-// VoteRows majority-decodes three replica rows in one call: the corrected
-// data plus the number of replica bits that disagreed with the majority.  It
-// is the vote function the controller's execute-verify-retry path
-// (controller.ExecuteOpReliable) consumes — passed in as a value because ecc
-// depends on controller for the Op type, so controller cannot import ecc.
-func VoteRows(r0, r1, r2 []uint64) ([]uint64, int, error) {
-	c, err := FromReplicas(r0, r1, r2)
-	if err != nil {
-		return nil, 0, err
+// vote writes the bitwise majority of three equally long replicas into dst,
+// which may alias any of them, and returns the number of replica bits that
+// disagree with it.  At most one replica disagrees at any bit position, so
+// that count is the number of positions where the replicas are not all
+// equal.
+func vote(dst, r0, r1, r2 []uint64) int {
+	r1, r2, dst = r1[:len(r0)], r2[:len(r0)], dst[:len(r0)]
+	bad := 0
+	for w, a := range r0 {
+		b, d := r1[w], r2[w]
+		bad += bits.OnesCount64((a ^ b) | (b ^ d))
+		dst[w] = a&b | b&d | d&a
 	}
-	data, bad := c.Decode()
-	return data, bad, nil
+	return bad
+}
+
+// VoteRows majority-decodes three replica rows into dst, which may alias any
+// of them, and returns the number of replica bits that disagreed with the
+// majority, allocating nothing.  It is the vote function the controller's
+// execute-verify-retry path (controller.ExecuteOpReliable) consumes — passed
+// in as a value because ecc depends on controller for the Op type, so
+// controller cannot import ecc.
+func VoteRows(dst, r0, r1, r2 []uint64) (int, error) {
+	if len(r0) != len(r1) || len(r0) != len(r2) || len(dst) != len(r0) {
+		return 0, fmt.Errorf("ecc: replica lengths differ (%d/%d/%d, dst %d)", len(r0), len(r1), len(r2), len(dst))
+	}
+	return vote(dst, r0, r1, r2), nil
 }
 
 // Healthy reports whether all replicas agree (no latent faults).
@@ -155,12 +162,4 @@ func Apply(op controller.Op, a, b *Codeword) (*Codeword, error) {
 		out.replicas[r] = words
 	}
 	return &out, nil
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

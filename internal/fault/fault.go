@@ -43,6 +43,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -433,25 +434,16 @@ func (s *stream) bitFlips(mask []uint64, words int, rate float64, weak []uint64,
 // nthSetBit returns the position of the n-th (0-based) set bit of mask, or -1.
 func nthSetBit(mask []uint64, n int) int {
 	for w, v := range mask {
-		for b := 0; v != 0; v &= v - 1 {
-			b = trailingZeros(v)
-			if n == 0 {
-				return w*64 + b
-			}
-			n--
+		if c := bits.OnesCount64(v); n >= c {
+			n -= c
+			continue
 		}
+		for ; n > 0; n-- {
+			v &= v - 1
+		}
+		return w*64 + bits.TrailingZeros64(v)
 	}
 	return -1
-}
-
-// trailingZeros counts trailing zero bits of a nonzero word.
-func trailingZeros(v uint64) int {
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // pickBit selects a bit position, biased toward the weak-column set when one
@@ -556,12 +548,11 @@ func hash4(a, b, c, d uint64) uint64 {
 // toFloat maps a uint64 to [0, 1).
 func toFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
+// popcount counts the set bits of a mask.
 func popcount(mask []uint64) int64 {
 	var n int64
 	for _, w := range mask {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
+		n += int64(bits.OnesCount64(w))
 	}
 	return n
 }
