@@ -77,6 +77,9 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// TMR rows read their replicas into the controller's per-bank scratch
+	// and vote in place.
+	eccSys, ea, eb, ec := allocsSystem(t, WithReliability(Reliability{ECC: true, MaxRetries: 3}))
 	cases := []struct {
 		name string
 		call func() error
@@ -89,6 +92,8 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		{"Copy", func() error { return sys.Copy(out, a) }},
 		{"Fill", func() error { return sys.Fill(out, true) }},
 		{"Maj", func() error { return sys.Maj(out, a, b, c) }},
+		{"ECCAnd", func() error { return eccSys.And(ec, ea, eb) }},
+		{"ECCXorInPlace", func() error { return eccSys.Xor(ec, ec, eb) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

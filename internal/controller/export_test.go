@@ -16,3 +16,9 @@ func HasNetProgram(t *Train) bool { return t.net != nil }
 
 // LayoutFusable reports whether the net program is exact for rows.
 func LayoutFusable(t *Train, rows []dram.RowAddr) bool { return t.layoutFusable(rows) }
+
+// OpTrain returns op's Figure-8 train.
+func OpTrain(op Op) *Train { return opTrains[op] }
+
+// FaultEvents returns the injector consultations one run of t makes.
+func FaultEvents(t *Train) []dram.FaultEvent { return t.faults }
