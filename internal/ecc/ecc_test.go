@@ -186,3 +186,43 @@ func TestOverheadConstants(t *testing.T) {
 		t.Error("TMR overheads must be 3x")
 	}
 }
+
+// TestVoteRowsInPlace: the controller's vote writes the majority over one
+// of its own replicas, and must match Codeword.Decode bit for bit,
+// including the disagreement count, with every replica taking faults.
+func TestVoteRowsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(64)
+		var r [3][]uint64
+		for i := range r {
+			r[i] = make([]uint64, n)
+			for w := range r[i] {
+				r[i][w] = rng.Uint64()
+			}
+		}
+		c, err := FromReplicas(r[0], r[1], r[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantBad := c.Decode()
+		bad, err := VoteRows(r[0], r[0], r[1], r[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad != wantBad {
+			t.Fatalf("trial %d: %d disagreeing bits, Decode says %d", trial, bad, wantBad)
+		}
+		for w := range want {
+			if r[0][w] != want[w] {
+				t.Fatalf("trial %d word %d: voted %#x, Decode %#x", trial, w, r[0][w], want[w])
+			}
+		}
+	}
+	if _, err := VoteRows(make([]uint64, 2), []uint64{1, 2}, []uint64{1, 2}, []uint64{1}); err == nil {
+		t.Error("ragged replicas accepted")
+	}
+	if _, err := VoteRows(make([]uint64, 1), []uint64{1, 2}, []uint64{1, 2}, []uint64{1, 2}); err == nil {
+		t.Error("short destination accepted")
+	}
+}
