@@ -80,6 +80,17 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 	// TMR rows read their replicas into the controller's per-bank scratch
 	// and vote in place.
 	eccSys, ea, eb, ec := allocsSystem(t, WithReliability(Reliability{ECC: true, MaxRetries: 3}))
+	// Under a fault model whose masks fire on nearly every activation (about
+	// 6.5 flipped bits per 64 Kbit row and draw), each applied mask goes
+	// back to its stream and the next fired draw reuses it.
+	faultSys, fa, fb, fc := allocsSystem(t, WithFaultModel(FaultConfig{TRABitRate: 1e-4, DCCBitRate: 1e-4, Seed: 3}),
+		WithReliability(Reliability{ECC: true, MaxRetries: 3}), WithManyRowMaj(5))
+	fout := faultSys.MustAlloc(fc.Len())
+	for i := 0; i < 50; i++ {
+		if err := faultSys.Maj(fout, fa, fb, fc); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name string
 		call func() error
@@ -94,6 +105,9 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		{"Maj", func() error { return sys.Maj(out, a, b, c) }},
 		{"ECCAnd", func() error { return eccSys.And(ec, ea, eb) }},
 		{"ECCXorInPlace", func() error { return eccSys.Xor(ec, ec, eb) }},
+		{"FaultedECCAnd", func() error { return faultSys.And(fc, fa, fb) }},
+		{"FaultedECCXorInPlace", func() error { return faultSys.Xor(fc, fc, fb) }},
+		{"FaultedMaj", func() error { return faultSys.Maj(fout, fa, fb, fc) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

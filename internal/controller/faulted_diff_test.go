@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ambit/internal/compile"
@@ -88,7 +89,9 @@ func faultedState(t *testing.T, c *controller.Controller) [][]uint64 {
 // through the device model does.  vendorA-85C runs at ×0, ×1, ×30 and ×300
 // of its rates, so runs range from fault-free through single flips to
 // gross failures on most activations; ops cover the five operand aliasings
-// and MAJ-3/5/7 at widths 16 and 32, with dk sometimes a source.
+// and MAJ-3/5/7 at widths 16 and 32, with dk sometimes a source.  Every run
+// ends with C0 all zeros and C1 all ones on both controllers, the condition
+// ExecuteMaj's closed form needs.
 func TestFaultedFusedMatchesStepwise(t *testing.T) {
 	steps := 3000
 	if testing.Short() {
@@ -184,6 +187,23 @@ func TestFaultedFusedMatchesStepwise(t *testing.T) {
 				}
 				if fused.c.Device().Stats() != step.c.Device().Stats() {
 					t.Errorf("device stats diverge:\n fused %+v\n  step %+v", fused.c.Device().Stats(), step.c.Device().Stats())
+				}
+				// ExecuteMaj's closed form assumes the fill rows C0 and C1
+				// hold zeros and ones; no train may have written them.
+				for _, tw := range []*faultedTwin{fused, step} {
+					for b := 0; b < g.Banks; b++ {
+						for s := 0; s < g.SubarraysPerBank; s++ {
+							for ci, want := range []uint64{0, ^uint64(0)} {
+								row, err := tw.c.Device().PeekRow(dram.PhysAddr{Bank: b, Subarray: s, Row: dram.C(ci)})
+								if err != nil {
+									t.Fatal(err)
+								}
+								if i := slices.IndexFunc(row, func(v uint64) bool { return v != want }); i >= 0 {
+									t.Fatalf("bank %d sub %d: C%d word %d = %#x", b, s, ci, i, row[i])
+								}
+							}
+						}
+					}
 				}
 				fc, sc := fused.fm.Counters(), step.fm.Counters()
 				if fc != sc {

@@ -62,15 +62,16 @@ func (c *Controller) MajLatencyNS(w int) float64 {
 // their contents are clobbered.  Returns the train's total latency.
 //
 // When the bank is precharged and every row is in range, the train runs as
-// its net effect: the many-row activation is evaluated from the k sources and
-// the two control rows, each counted once with its multiplicity
-// (dram.Subarray.ActivateManyFrom), the result is written into the staging
+// its net effect: the many-row activation latches MAJ-k of the k sources
+// directly, since the even replication and the balanced C0/C1 fill make the
+// staged block's majority and weak-bit mask functions of the sources alone
+// (dram.Subarray.ActivateManyFrom); the result is written into the staging
 // rows and dk, and the census is committed at once.  The staging copies move
 // data through single, non-negated wordlines and draw no faults, and the one
-// many-row draw reads only the weak-bit mask, which the counts give exactly,
-// so both routes give identical cells, latencies, statistics, fault draws and
-// trace bytes.  Otherwise — or with fusion disabled — the staging AAPs and
-// the many-row train are issued one by one.
+// many-row draw reads only the weak-bit mask, so both routes give identical
+// cells, latencies, statistics, fault draws and trace bytes.  Otherwise — or
+// with fusion disabled — the staging AAPs and the many-row train are issued
+// one by one.
 func (c *Controller) ExecuteMaj(bank, sub int, dk dram.RowAddr, srcs []dram.RowAddr, scratchBase, w int) (float64, error) {
 	k := len(srcs)
 	repl, fill, err := PlanMaj(k, w)
@@ -116,17 +117,12 @@ func (c *Controller) ExecuteMaj(bank, sub int, dk dram.RowAddr, srcs []dram.RowA
 		return c.executeMajStepwise(bank, sub, dk, srcs, staged, repl, fill)
 	}
 
-	var inBuf [dram.MaxSimultaneousWordlines/2 + 2]dram.ManyRowInput // k <= w/2
-	in := inBuf[:0]
-	for _, s := range srcs {
-		in = append(in, dram.ManyRowInput{Wordline: dram.Wordline{Kind: dram.WLData, Index: s.Index}, Copies: repl})
+	var srcBuf [dram.MaxSimultaneousWordlines / 2]int // k <= w/2
+	srcRows := srcBuf[:k]
+	for i, s := range srcs {
+		srcRows[i] = s.Index
 	}
-	if fill > 0 {
-		in = append(in,
-			dram.ManyRowInput{Wordline: dram.Wordline{Kind: dram.WLC, Index: 0}, Copies: fill / 2},
-			dram.ManyRowInput{Wordline: dram.Wordline{Kind: dram.WLC, Index: 1}, Copies: fill / 2})
-	}
-	if err := c.dev.Bank(bank).Subarray(sub).ActivateManyFrom(in, staged, dk.Index); err != nil {
+	if err := c.dev.Bank(bank).Subarray(sub).ActivateManyFrom(srcRows, repl, fill, staged, dk.Index); err != nil {
 		return 0, fmt.Errorf("many-row activate bank %d sub %d: %w", bank, sub, err)
 	}
 

@@ -58,6 +58,16 @@ type ManyRowFaultInjector interface {
 	MajFaultMask(ctx FaultContext, words int, weak []uint64) []uint64
 }
 
+// A FaultMaskRecycler is a FaultInjector that reuses the storage of the
+// masks it returns.  Once a subarray has XORed a drawn mask into its row, it
+// hands the mask back through RecycleFaultMask, in the context of the draw's
+// subarray, and never reads it again; the injector may return that storage
+// from a later draw on the same subarray.  A mask DrawFaults keeps for a
+// replay is handed back only when the replayed activation applies it.
+type FaultMaskRecycler interface {
+	RecycleFaultMask(ctx FaultContext, mask []uint64)
+}
+
 // SetFaultInjector installs fi on every subarray of the device; nil removes
 // it.  Call before issuing commands (installation is not synchronized with
 // in-flight trains).
@@ -92,6 +102,20 @@ func (s *Subarray) setInjector(fi FaultInjector, bank, sub int) {
 
 // beginTrain records the destination row of the current command train.
 func (s *Subarray) beginTrain(row int) { s.fctx.Row = row }
+
+// applyFault XORs a drawn fault mask (nil: none fired) into row and hands
+// it back to the injector.
+func (s *Subarray) applyFault(row, mask []uint64) {
+	if mask == nil {
+		return
+	}
+	for i := 0; i < len(row) && i < len(mask); i++ {
+		row[i] ^= mask[i]
+	}
+	if r, ok := s.injector.(FaultMaskRecycler); ok {
+		r.RecycleFaultMask(s.fctx, mask)
+	}
+}
 
 // FaultEvent is the kind of one injector consultation: a triple-row
 // activation's TRAFaultMask or a negation write's DCCFaultMask.

@@ -37,38 +37,24 @@ const countChunk = 64
 // b of c[j][p] is bit p of the count of bitline b of the chunk's word j.
 type planeCounter [countChunk][countPlanes]uint64
 
-// add counts the set bits of src, one chunk of a row, n times: src is added
-// at each plane where n has a bit set.
-func (c *planeCounter) add(src []uint64, n int) {
-	for m := uint(n); m != 0; m &= m - 1 {
-		q := bits.TrailingZeros(m)
-		for j, v := range src {
-			p := &c[j]
-			for r := q; r < countPlanes && v != 0; r++ {
-				p[r], v = p[r]^v, p[r]&v
-			}
+// add counts the set bits of src, one chunk of a row.
+func (c *planeCounter) add(src []uint64) {
+	for j, v := range src {
+		p := &c[j]
+		for r := 0; r < countPlanes && v != 0; r++ {
+			p[r], v = p[r]^v, p[r]&v
 		}
 	}
 }
 
-// manyInput is one distinct row of a many-row activation: its cells (nil
-// reads as zeros) and the number of raised wordlines holding them.
-type manyInput struct {
-	cells []uint64
-	n     int
-}
-
-// latchMany performs the sensing of a w-wordline simultaneous activation
-// whose raised cells are the inputs, each counted with its multiplicity:
-// every bitline's ones-count gives the latched majority (into the row
-// buffer) and the minimum-margin bits (into weakBuf), and then the fault
-// hooks apply — a one-shot InjectTRAFault mask first, then the installed
-// injector, through MajFaultMask with the weak-bit mask when it implements
-// ManyRowFaultInjector and through TRAFaultMask otherwise.  An even-width
-// tie fails with ErrUndefinedChargeSharing before any hook runs.  The caller
-// restores the result and marks the amplifiers on.
-func (s *Subarray) latchMany(in []manyInput, w int) error {
-	words := s.geom.WordsPerRow()
+// latchMany performs the sensing of a simultaneous activation of the given
+// cells (nil reads as zeros): every bitline's ones-count gives the latched
+// majority (into the row buffer) and the minimum-margin bits (into weakBuf),
+// and then manyFaults applies the fault hooks.  An even-width tie fails with
+// ErrUndefinedChargeSharing before any hook runs.  The caller restores the
+// result and marks the amplifiers on.
+func (s *Subarray) latchMany(rows [][]uint64) error {
+	words, w := s.geom.WordsPerRow(), len(rows)
 	s.amps = s.ampsBuf
 	if s.weakBuf == nil {
 		s.weakBuf = make([]uint64, words)
@@ -93,9 +79,9 @@ func (s *Subarray) latchMany(in []manyInput, w int) error {
 	for base := 0; base < words; base += countChunk {
 		end := min(base+countChunk, words)
 		clear(cnt[:end-base])
-		for _, x := range in {
-			if x.cells != nil {
-				cnt.add(x.cells[base:end], x.n)
+		for _, r := range rows {
+			if r != nil {
+				cnt.add(r[base:end])
 			}
 		}
 		amps, weak := s.amps[base:end], s.weakBuf[base:end]
@@ -119,7 +105,17 @@ func (s *Subarray) latchMany(in []manyInput, w int) error {
 			weak[j] = lo | hi
 		}
 	}
+	s.manyFaults(w)
+	return nil
+}
 
+// manyFaults applies the fault hooks of a w-wordline many-row activation to
+// the latched row buffer: a one-shot InjectTRAFault mask first, then the
+// installed injector, through MajFaultMask with the weak-bit mask in weakBuf
+// when it implements ManyRowFaultInjector and through TRAFaultMask
+// otherwise.
+func (s *Subarray) manyFaults(w int) {
+	words := s.geom.WordsPerRow()
 	if s.faultMask != nil {
 		for i := 0; i < words && i < len(s.faultMask); i++ {
 			s.amps[i] ^= s.faultMask[i]
@@ -135,11 +131,8 @@ func (s *Subarray) latchMany(in []manyInput, w int) error {
 		} else {
 			m = s.injector.TRAFaultMask(ctx, words)
 		}
-		for i := 0; i < words && i < len(m); i++ {
-			s.amps[i] ^= m[i]
-		}
+		s.applyFault(s.amps, m)
 	}
-	return nil
 }
 
 // ActivateMany performs one simultaneous activation of the given D-group rows:
@@ -164,13 +157,11 @@ func (s *Subarray) ActivateMany(rows []int) (int, error) {
 	if err := s.checkMany(rows); err != nil {
 		return 0, err
 	}
-	w := len(rows)
-	var inBuf [MaxSimultaneousWordlines]manyInput
-	in := inBuf[:w]
+	var cells [MaxSimultaneousWordlines][]uint64
 	for i, r := range rows {
-		in[i] = manyInput{cells: s.data[r], n: 1}
+		cells[i] = s.data[r]
 	}
-	if err := s.latchMany(in, w); err != nil {
+	if err := s.latchMany(cells[:len(rows)]); err != nil {
 		return 0, err
 	}
 	s.ampsOn = true
@@ -178,7 +169,7 @@ func (s *Subarray) ActivateMany(rows []int) (int, error) {
 		copy(s.cell(Wordline{Kind: WLData, Index: r}), s.amps)
 		s.raised = append(s.raised, Wordline{Kind: WLData, Index: r})
 	}
-	return w, nil
+	return len(rows), nil
 }
 
 // checkMany validates a many-row activation of rows: a supported width of
@@ -203,63 +194,110 @@ func (s *Subarray) checkMany(rows []int) error {
 	return nil
 }
 
-// ManyRowInput is one distinct row a staged many-row block copies: a
-// single-wordline, non-negated D- or C-group wordline outside the block, and
-// the number of staged rows holding a copy of it.
-type ManyRowInput struct {
-	Wordline Wordline
-	Copies   int
-}
-
 // ActivateManyFrom applies the net effect of the MAJ-X train's many-row
-// step without its staging copies: on a block whose rows hold Copies copies
-// of each input, an ActivateMany of the block, an ACTIVATE of data row dst
-// and a PRECHARGE.  A bitline's ones-count is the same whether each staged
-// copy is counted once or each input once with its multiplicity, so the
-// latched majority, the even-width tie check, the weak-bit mask and the
-// fault hooks are exactly ActivateMany's on the staged block, and the
-// staging copies draw nothing (they copy through single, non-negated
-// wordlines).  The result is written into every block row and into dst; the
-// block's width is the total of the Copies.  The subarray must be
-// precharged and is left precharged; the caller accounts the commands.
-func (s *Subarray) ActivateManyFrom(inputs []ManyRowInput, block []int, dst int) error {
+// step without its staging copies.  The block holds c copies of each of the
+// k data rows srcs, then fill/2 copies of C0 and fill/2 of C1
+// (controller.PlanMaj's shape: k odd, c even and at least 2, fill even,
+// c·k + fill = len(block)); the step is an ActivateMany of the block, an
+// ACTIVATE of data row dst and a PRECHARGE.
+//
+// A bitline whose sources hold s ones counts c·s + fill/2 of the w raised
+// cells, so 2·count − w = c·(2s − k): the block latches MAJ-k of the
+// sources, no bitline ties (k is odd), and a bitline sits at the minimum
+// margin |2·count − w| = 2 exactly when c = 2 and s = (k ± 1)/2.  The latch
+// and the weak-bit mask therefore come from the k sources alone (latchMaj),
+// and manyFaults applies the fault hooks as ActivateMany does on the staged
+// block; the staging copies draw nothing (they copy through single,
+// non-negated wordlines).  The identity needs C0 all zeros and C1 all ones,
+// which TestControlRowsNeverCorrupted and TestFaultedFusedMatchesStepwise
+// check.
+//
+// The result is written into every block row and into dst, which may be a
+// source.  The subarray must be precharged and is left precharged; the
+// caller accounts the commands.
+func (s *Subarray) ActivateManyFrom(srcs []int, c, fill int, block []int, dst int) error {
 	if err := s.checkMany(block); err != nil {
 		return err
 	}
-	if dst < 0 || dst >= s.geom.DataRows() {
-		return fmt.Errorf("dram: many-row activation: destination row %d out of range [0,%d)", dst, s.geom.DataRows())
+	k, rows := len(srcs), s.geom.DataRows()
+	if dst < 0 || dst >= rows {
+		return fmt.Errorf("dram: many-row activation: destination row %d out of range [0,%d)", dst, rows)
 	}
-	var inBuf [MaxSimultaneousWordlines]manyInput
-	if len(inputs) > len(inBuf) {
-		return fmt.Errorf("dram: many-row activation of %d distinct rows", len(inputs))
+	var cells [MaxSimultaneousWordlines / 2][]uint64
+	if k < 3 || k%2 == 0 || k > len(cells) || c < 2 || c%2 != 0 || fill < 0 || fill%2 != 0 || c*k+fill != len(block) {
+		return fmt.Errorf("dram: many-row activation: %d sources, %d copies each and %d fill rows do not stage a block of %d rows",
+			k, c, fill, len(block))
 	}
-	in := inBuf[:len(inputs)]
-	copies := 0
-	for i, x := range inputs {
-		wl := x.Wordline
-		switch {
-		case wl.Kind == WLData && wl.Index >= 0 && wl.Index < s.geom.DataRows() && !slices.Contains(block, wl.Index):
-		case wl.Kind == WLC && wl.Index >= 0 && wl.Index < len(s.ctrl):
-		default:
-			return fmt.Errorf("dram: many-row activation: cannot stage %v", wl)
+	for i, r := range srcs {
+		if r < 0 || r >= rows || slices.Contains(block, r) {
+			return fmt.Errorf("dram: many-row activation: cannot stage data row %d", r)
 		}
-		if x.Copies < 1 {
-			return fmt.Errorf("dram: many-row activation: %d copies of %v", x.Copies, wl)
-		}
-		in[i] = manyInput{cells: s.cell(wl), n: x.Copies}
-		copies += x.Copies
+		cells[i] = s.cell(Wordline{Kind: WLData, Index: r})
 	}
-	if copies != len(block) {
-		return fmt.Errorf("dram: many-row activation: %d staged copies for a block of %d rows", copies, len(block))
-	}
-	if err := s.latchMany(in, len(block)); err != nil {
-		return err
-	}
+	s.latchMaj(cells[:k], c == 2)
+	s.manyFaults(len(block))
 	for _, r := range block {
 		copy(s.cell(Wordline{Kind: WLData, Index: r}), s.amps)
 	}
 	copy(s.cell(Wordline{Kind: WLData, Index: dst}), s.amps)
 	return nil
+}
+
+// latchMaj latches MAJ-k of the k source rows into the row buffer.  With
+// weak set it writes the bits whose sources hold (k ± 1)/2 ones into
+// weakBuf, and otherwise clears it.  k = 3 takes the majority formula; up
+// to k = 15 each word's counts are kept bit-sliced in registers.
+func (s *Subarray) latchMaj(src [][]uint64, weak bool) {
+	s.amps = s.ampsBuf
+	if s.weakBuf == nil {
+		s.weakBuf = make([]uint64, len(s.ampsBuf))
+	}
+	amps, wk := s.amps, s.weakBuf[:len(s.amps)]
+	if !weak {
+		clear(wk)
+	}
+	if len(src) == 3 {
+		a, b, x := src[0][:len(amps)], src[1][:len(amps)], src[2][:len(amps)]
+		for i := range amps {
+			amps[i] = a[i]&b[i] | x[i]&(a[i]|b[i])
+		}
+		if weak {
+			for i := range wk {
+				wk[i] = (a[i] ^ b[i]) | (b[i] ^ x[i])
+			}
+		}
+		return
+	}
+	// Each bitline counts its sources' ones in four planes, starting from
+	// 8 - h where h = (k+1)/2 is the majority threshold: the count stays
+	// in 0..15, its top plane p3 is set exactly when the ones reach h, and
+	// the ones are h or h-1 exactly when it reads 1000 or 0111.  After
+	// the first, sources are added two at a time with a full adder.
+	h := (len(src) + 1) / 2
+	bit := func(r int) uint64 { return -uint64((8 - h) >> r & 1) }
+	o0, o1, o2 := bit(0), bit(1), bit(2) // 8 - h < 8
+	for i := range amps {
+		x := src[0][i]
+		p0, cy := o0^x, o0&x
+		p1, cy := o1^cy, o1&cy
+		p2, p3 := o2^cy, o2&cy
+		for r := 1; r < len(src); r += 2 {
+			p0, cy = fullAdd(p0, src[r][i], src[r+1][i])
+			p1, cy = p1^cy, p1&cy
+			p2, cy = p2^cy, p2&cy
+			p3 ^= cy
+		}
+		amps[i] = p3
+		if weak {
+			wk[i] = p3&^(p0|p1|p2) | p0&p1&p2&^p3
+		}
+	}
+}
+
+// fullAdd returns the bit-sliced sum and carry of a, b and c.
+func fullAdd(a, b, c uint64) (sum, carry uint64) {
+	u := a ^ b
+	return u ^ c, a&b | u&c
 }
 
 // ActivateMany issues a many-row simultaneous ACTIVATE for the given D-group

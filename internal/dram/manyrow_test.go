@@ -279,168 +279,308 @@ func TestActivateManyLocalStats(t *testing.T) {
 	}
 }
 
-// TestActivateManyFromMatchesStaged: evaluating a many-row block from its
-// distinct inputs, each counted with its multiplicity, leaves every row
-// and the row buffer as staging the copies and activating the block (then
-// copying into dst) does, and hands the injector the same weak-bit mask,
-// at widths whose counts reach the minimum margin, on rows of one full
-// counting chunk plus a partial one.
-func TestActivateManyFromMatchesStaged(t *testing.T) {
+// majShape is controller.PlanMaj's rule, which this package cannot import:
+// the largest even replication c with c·k <= w, at least 2, and a fill of
+// w - c·k rows.
+func majShape(k, w int) (c, fill int, ok bool) {
+	c = w / k &^ 1
+	return c, w - c*k, c >= 2
+}
+
+// TestActivateManyFromEveryPlannerShape: for every odd k in 3..15 and every
+// even width w in 4..32 the planner accepts, latching MAJ-k from the sources
+// leaves every data row (the block rows and dst, which is sometimes a
+// source) and the weak-bit mask as staging c copies of each source plus the
+// C0/C1 fill and activating the block does, on rows of one full counting
+// chunk plus six words; with a recording injector installed, it also sees
+// the same context and weak-bit mask and its mask lands in the same rows.
+func TestActivateManyFromEveryPlannerShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	g := Geometry{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 64, RowSizeBytes: 8 * (countChunk + 6)}
-	for _, tc := range []struct{ k, c, fill int }{{3, 4, 4}, {5, 2, 6}, {7, 2, 2}, {3, 8, 8}, {5, 6, 2}} {
-		w := tc.k*tc.c + tc.fill
-		var stubs [2]*manyRowStub
-		var devs [2]*Device
-		for i := range devs {
-			d, err := NewDevice(Config{Geometry: g, Timing: DDR3_1600()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			devs[i] = d
-			stubs[i] = &manyRowStub{maj: make([]uint64, 3)}
-			stubs[i].maj[1] = 0b1001
-			devs[i].SetFaultInjector(stubs[i])
-		}
-		words := devs[0].Geometry().WordsPerRow()
-		base, dst := devs[0].Geometry().DataRows()-w, tc.k
-		var in []ManyRowInput
-		for r := 0; r < tc.k; r++ {
-			row := randRow(rng, words)
-			for _, d := range devs {
-				if err := d.PokeRow(PhysAddr{Row: D(r)}, row); err != nil {
+	g := Geometry{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 96, RowSizeBytes: 8 * (countChunk + 6)}
+	words := g.WordsPerRow()
+	shapes := 0
+	for k := 3; k <= 15; k += 2 {
+		for _, injected := range []bool{false, true} {
+			// One device pair per k runs every width in turn, so a shape
+			// with an empty weak mask follows one with a full mask.
+			var devs [2]*Device
+			var stubs [2]*manyRowStub
+			for i := range devs {
+				d, err := NewDevice(Config{Geometry: g, Timing: DDR3_1600()})
+				if err != nil {
 					t.Fatal(err)
 				}
+				devs[i] = d
+				if injected {
+					stubs[i] = &manyRowStub{maj: make([]uint64, 3)}
+					stubs[i].maj[1] = 0b1001
+					d.SetFaultInjector(stubs[i])
+				}
 			}
-			in = append(in, ManyRowInput{Wordline: Wordline{Kind: WLData, Index: r}, Copies: tc.c})
-		}
-		in = append(in, ManyRowInput{Wordline: Wordline{Kind: WLC, Index: 0}, Copies: tc.fill / 2},
-			ManyRowInput{Wordline: Wordline{Kind: WLC, Index: 1}, Copies: tc.fill / 2})
-		block := make([]int, w)
-		next := base
-		for i := range block {
-			block[i] = base + i
-		}
-		// Staged reference: copy each input into its block rows.
-		staged, sa := devs[1], devs[1].Bank(0).Subarray(0)
-		for _, x := range in {
-			src := sa.PeekWordline(x.Wordline)
-			for j := 0; j < x.Copies; j++ {
-				if err := staged.PokeRow(PhysAddr{Row: D(next)}, src); err != nil {
+			from, staged := devs[0], devs[1]
+			for w := 4; w <= MaxSimultaneousWordlines; w += 2 {
+				c, fill, ok := majShape(k, w)
+				if !ok {
+					continue
+				}
+				if !injected {
+					shapes++
+				}
+				name := fmt.Sprintf("k=%d w=%d injected=%v", k, w, injected)
+				if injected {
+					for _, st := range stubs {
+						st.majCtxs = nil
+					}
+				}
+				for r := 0; r < g.DataRows(); r++ {
+					row := randRow(rng, words)
+					for _, d := range devs {
+						if err := d.PokeRow(PhysAddr{Row: D(r)}, row); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				base := g.DataRows() - w
+				perm := rng.Perm(base)
+				srcs, dst := perm[:k], perm[k]
+				if rng.Intn(3) == 0 {
+					dst = srcs[rng.Intn(k)]
+				}
+				block := make([]int, w)
+				for i := range block {
+					block[i] = base + i
+				}
+				// Stage the block in the planner's order: c copies of each
+				// source, then the zero fill and the one fill.
+				next := base
+				stage := func(wl Wordline, n int) {
+					row := staged.Bank(0).Subarray(0).PeekWordline(wl)
+					for ; n > 0; n-- {
+						if err := staged.PokeRow(PhysAddr{Row: D(next)}, row); err != nil {
+							t.Fatal(err)
+						}
+						next++
+					}
+				}
+				for _, r := range srcs {
+					stage(Wordline{Kind: WLData, Index: r}, c)
+				}
+				stage(Wordline{Kind: WLC, Index: 0}, fill/2)
+				stage(Wordline{Kind: WLC, Index: 1}, fill/2)
+				var srcRows [][]uint64
+				for _, r := range srcs {
+					row, _ := from.PeekRow(PhysAddr{Row: D(r)})
+					srcRows = append(srcRows, row)
+				}
+				wantMaj, _ := naiveMajority(srcRows, words)
+
+				for _, d := range devs {
+					d.BeginTrain(0, 0, dst)
+				}
+				if _, err := staged.Bank(0).ActivateMany(0, block); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := staged.Activate(PhysAddr{Row: D(dst)}); err != nil {
 					t.Fatal(err)
 				}
-				next++
-			}
-		}
-		// The word-by-word reference over the staged block.
-		var blockRows [][]uint64
-		for _, r := range block {
-			row, _ := staged.PeekRow(PhysAddr{Row: D(r)})
-			blockRows = append(blockRows, row)
-		}
-		wantMaj, counts := naiveMajority(blockRows, words)
-		for i, m := range stubs[0].maj {
-			wantMaj[i] ^= m
-		}
-		for _, d := range devs {
-			d.BeginTrain(0, 0, dst)
-		}
-		if _, err := staged.Bank(0).ActivateMany(0, block); err != nil {
-			t.Fatal(err)
-		}
-		if err := staged.Activate(PhysAddr{Row: D(dst)}); err != nil {
-			t.Fatal(err)
-		}
-		staged.Bank(0).Precharge()
-		if err := devs[0].Bank(0).Subarray(0).ActivateManyFrom(in, block, dst); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < devs[0].Geometry().DataRows(); r++ {
-			got, _ := devs[0].PeekRow(PhysAddr{Row: D(r)})
-			want, _ := staged.PeekRow(PhysAddr{Row: D(r)})
-			if !slices.Equal(got, want) {
-				t.Fatalf("k=%d c=%d: row D%d differs from the staged block", tc.k, tc.c, r)
-			}
-		}
-		if !slices.Equal(stubs[0].weak, stubs[1].weak) || !slices.Equal(stubs[0].majCtxs, stubs[1].majCtxs) {
-			t.Fatalf("k=%d c=%d: injector saw weak %x ctx %+v, staged %x ctx %+v", tc.k, tc.c,
-				stubs[0].weak, stubs[0].majCtxs, stubs[1].weak, stubs[1].majCtxs)
-		}
-		if got, _ := devs[0].PeekRow(PhysAddr{Row: D(dst)}); !slices.Equal(got, wantMaj) {
-			t.Fatalf("k=%d c=%d: dst is not the majority of the staged block", tc.k, tc.c)
-		}
-		for i := 0; i < words; i++ {
-			var want uint64
-			for bit := 0; bit < 64; bit++ {
-				if c := counts[i][bit]; 2*c == w-2 || 2*c == w+2 {
-					want |= 1 << uint(bit)
+				staged.Bank(0).Precharge()
+				if err := from.Bank(0).Subarray(0).ActivateManyFrom(srcs, c, fill, block, dst); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+
+				for r := 0; r < g.DataRows(); r++ {
+					got, _ := from.PeekRow(PhysAddr{Row: D(r)})
+					want, _ := staged.PeekRow(PhysAddr{Row: D(r)})
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: row D%d differs from the staged block", name, r)
+					}
+				}
+				weak := from.Bank(0).Subarray(0).weakBuf
+				if !slices.Equal(weak, staged.Bank(0).Subarray(0).weakBuf) {
+					t.Fatalf("%s: weak-bit mask differs from the staged block's", name)
+				}
+				if nonzero := slices.ContainsFunc(weak, func(v uint64) bool { return v != 0 }); nonzero != (c == 2) {
+					t.Fatalf("%s: c=%d but weak-bit mask nonzero=%v", name, c, nonzero)
+				}
+				got, _ := from.PeekRow(PhysAddr{Row: D(dst)})
+				if injected {
+					for i, m := range stubs[0].maj {
+						wantMaj[i] ^= m
+					}
+					if !slices.Equal(stubs[0].weak, stubs[1].weak) || !slices.Equal(stubs[0].majCtxs, stubs[1].majCtxs) {
+						t.Fatalf("%s: injector saw weak %x ctx %+v, staged %x ctx %+v", name,
+							stubs[0].weak, stubs[0].majCtxs, stubs[1].weak, stubs[1].majCtxs)
+					}
+					if want := (FaultContext{Row: dst, K: w}); len(stubs[0].majCtxs) != 1 || stubs[0].majCtxs[0] != want {
+						t.Fatalf("%s: injector contexts %+v, want one %+v", name, stubs[0].majCtxs, want)
+					}
+				}
+				if !slices.Equal(got, wantMaj) {
+					t.Fatalf("%s: dst is not MAJ-%d of the sources", name, k)
+				}
+				if from.Bank(0).Subarray(0).Activated() {
+					t.Fatalf("%s: ActivateManyFrom left the subarray activated", name)
 				}
 			}
-			if stubs[0].weak[i] != want {
-				t.Fatalf("k=%d c=%d: weak word %d = %016x, want %016x", tc.k, tc.c, i, stubs[0].weak[i], want)
-			}
-		}
-		if tc.c == 2 && !slices.ContainsFunc(stubs[0].weak, func(v uint64) bool { return v != 0 }) {
-			t.Fatalf("k=%d c=%d: empty weak mask", tc.k, tc.c)
-		}
-		if devs[0].Bank(0).Subarray(0).Activated() {
-			t.Fatal("ActivateManyFrom left the subarray activated")
 		}
 	}
+	if shapes != 56 {
+		t.Fatalf("covered %d planner shapes, want 56", shapes)
+	}
+}
 
-	s := newTestDevice(t).Bank(0).Subarray(0)
-	x := Wordline{Kind: WLData, Index: 0}
+// TestActivateManyFromMatchesStaged: ActivateManyFrom accepts only the
+// planner's staging shapes, whose latch matches the staged block
+// (TestActivateManyFromEveryPlannerShape).  Each malformed case below
+// breaks one condition of the shape, the rows or the subarray state.
+func TestActivateManyFromMatchesStaged(t *testing.T) {
+	d := newTestDevice(t)
+	s := d.Bank(0).Subarray(0)
+	block := []int{8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23}
+	srcs := []int{0, 1, 2}
+	if err := s.ActivateManyFrom(srcs, 4, 4, block, 5); err != nil {
+		t.Fatalf("well-formed MAJ-3 at w=16 rejected: %v", err)
+	}
 	for _, bad := range []struct {
-		name  string
-		in    []ManyRowInput
-		block []int
-		dst   int
+		name    string
+		srcs    []int
+		c, fill int
+		block   []int
+		dst     int
 	}{
-		{"copies short of the block", []ManyRowInput{{x, 2}}, []int{4, 5, 6, 7}, 1},
-		{"input inside the block", []ManyRowInput{{x, 2}, {Wordline{Kind: WLData, Index: 4}, 2}}, []int{4, 5, 6, 7}, 1},
-		{"negated input", []ManyRowInput{{x, 2}, {Wordline{Kind: WLDCCNeg, Index: 0}, 2}}, []int{4, 5, 6, 7}, 1},
-		{"destination out of range", []ManyRowInput{{x, 4}}, []int{4, 5, 6, 7}, -1},
-		{"tie", []ManyRowInput{{x, 2}, {Wordline{Kind: WLC, Index: 0}, 2}}, []int{4, 5, 6, 7}, 1},
+		{"even k", []int{0, 1, 2, 3}, 4, 0, block, 5},
+		{"one source", []int{0}, 4, 12, block, 5},
+		{"odd c", srcs, 3, 6, block[:15], 5},
+		{"zero c", srcs, 0, 16, block, 5},
+		{"odd fill", []int{0, 1, 2, 3, 4}, 2, 5, block[:15], 5},
+		{"negative fill", srcs, 6, -2, block, 5},
+		{"c·k + fill short of the block", srcs, 4, 2, block, 5},
+		{"c·k + fill past the block", srcs, 4, 6, block, 5},
+		{"source inside the block", []int{0, 1, 12}, 4, 4, block, 5},
+		{"source out of range", []int{0, 1, d.Geometry().DataRows()}, 4, 4, block, 5},
+		{"destination out of range", srcs, 4, 4, block, -1},
+		{"duplicate block row", srcs, 4, 4, append(block[:15:15], 8), 5},
 	} {
-		if bad.name == "tie" {
-			if err := s.PokeRow(D(0), []uint64{1, 0, 0, 0, 0, 0, 0, 0}[:s.geom.WordsPerRow()]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.ActivateManyFrom(bad.in, bad.block, bad.dst); err == nil {
+		if err := s.ActivateManyFrom(bad.srcs, bad.c, bad.fill, bad.block, bad.dst); err == nil {
 			t.Errorf("%s accepted", bad.name)
 		}
+	}
+	if err := d.Activate(PhysAddr{Row: D(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ActivateManyFrom(srcs, 4, 4, block, 5); err == nil {
+		t.Error("ActivateManyFrom accepted on an activated subarray")
+	}
+}
+
+// recyclingStub is a many-row injector that returns a fresh mask from every
+// draw and records the masks handed back to it.
+type recyclingStub struct {
+	drawn, recycled [][]uint64
+}
+
+func (r *recyclingStub) draw(words int) []uint64 {
+	m := make([]uint64, words)
+	m[0] = 1 << len(r.drawn)
+	r.drawn = append(r.drawn, m)
+	return m
+}
+
+func (r *recyclingStub) TRAFaultMask(_ FaultContext, words int) []uint64 { return r.draw(words) }
+func (r *recyclingStub) DCCFaultMask(_ FaultContext, words int) []uint64 { return r.draw(words) }
+func (r *recyclingStub) MajFaultMask(_ FaultContext, words int, _ []uint64) []uint64 {
+	return r.draw(words)
+}
+func (r *recyclingStub) RecycleFaultMask(_ FaultContext, m []uint64) {
+	r.recycled = append(r.recycled, m)
+}
+
+// TestFaultMasksRecycledAfterApply: every drawn mask is handed back exactly
+// once, after its activation applied it — a TRA's, a DCC write's and a
+// many-row activation's at once, and a mask DrawFaults keeps for a replay
+// only when the replayed activation consumes it.
+func TestFaultMasksRecycledAfterApply(t *testing.T) {
+	d := newTestDevice(t)
+	stub := &recyclingStub{}
+	d.SetFaultInjector(stub)
+	s := d.Bank(0).Subarray(0)
+	same := func(a, b []uint64) bool { return &a[0] == &b[0] }
+
+	// B12 raises T0, T1, T2: a TRA draw.  B5 then writes DCC0 through its
+	// negation wordline: a DCC draw.
+	if err := d.Activate(PhysAddr{Row: B(12)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(stub.recycled) != 1 || !same(stub.recycled[0], stub.drawn[0]) {
+		t.Fatalf("after a TRA: recycled %d masks, want the TRA's", len(stub.recycled))
+	}
+	if err := d.Activate(PhysAddr{Row: B(5)}); err != nil {
+		t.Fatal(err)
+	}
+	d.Bank(0).Precharge()
+	if len(stub.recycled) != 2 || !same(stub.recycled[1], stub.drawn[1]) {
+		t.Fatalf("after a DCC write: recycled %d masks, want the DCC's", len(stub.recycled))
+	}
+	if got := s.PeekWordline(Wordline{Kind: WLT, Index: 0}); got[0] != 1 {
+		t.Fatalf("T0 = %#x after the TRA, want its mask 0x1", got[0])
+	}
+	if err := s.ActivateManyFrom([]int{0, 1, 2}, 4, 4, []int{8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if len(stub.recycled) != 3 || !same(stub.recycled[2], stub.drawn[2]) {
+		t.Fatalf("after a many-row activation: recycled %d masks, want its mask", len(stub.recycled))
+	}
+
+	var masks [][]uint64
+	if !s.DrawFaults([]FaultEvent{FaultTRA, FaultDCC}, &masks) {
+		t.Fatal("DrawFaults reported no fired mask")
+	}
+	if len(stub.recycled) != 3 {
+		t.Fatalf("DrawFaults recycled %d masks before the replay", len(stub.recycled)-3)
+	}
+	if err := d.Activate(PhysAddr{Row: B(12)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(stub.recycled) != 4 || !same(stub.recycled[3], masks[0]) {
+		t.Fatal("the replayed TRA did not hand back its predrawn mask alone")
+	}
+	if err := d.Activate(PhysAddr{Row: B(5)}); err != nil {
+		t.Fatal(err)
+	}
+	d.Bank(0).Precharge()
+	s.EndReplay()
+	if len(stub.recycled) != 5 || !same(stub.recycled[4], masks[1]) {
+		t.Fatal("the replayed DCC write did not hand back its predrawn mask")
 	}
 }
 
 // BenchmarkActivateManyFrom measures the net-effect MAJ-X step on 8 KB
-// rows: MAJ-3 at width 16 (four copies per source, two of each control row)
-// and MAJ-5 (two copies per source, three of each control row).
+// rows: MAJ-3 at width 16 (four copies per source, two of each control
+// row), MAJ-5 and MAJ-7 at width 16 (two copies per source, the weak-mask
+// path) and MAJ-9 at width 32 (two copies, fourteen fill rows).
 func BenchmarkActivateManyFrom(b *testing.B) {
-	for _, k := range []int{3, 5} {
-		b.Run(fmt.Sprintf("maj%d", k), func(b *testing.B) {
-			g := Geometry{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 64, RowSizeBytes: 8192}
+	for _, tc := range []struct{ k, w int }{{3, 16}, {5, 16}, {7, 16}, {9, 32}} {
+		b.Run(fmt.Sprintf("maj%d", tc.k), func(b *testing.B) {
+			g := Geometry{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 96, RowSizeBytes: 8192}
 			s := NewSubarray(g)
 			rng := rand.New(rand.NewSource(1))
-			c, fill := 16/k&^1, 16-16/k&^1*k
-			var in []ManyRowInput
-			for i := 0; i < k; i++ {
+			c, fill, _ := majShape(tc.k, tc.w)
+			srcs := make([]int, tc.k)
+			for i := range srcs {
+				srcs[i] = i
 				row := s.cell(Wordline{Kind: WLData, Index: i})
 				for j := range row {
 					row[j] = rng.Uint64()
 				}
-				in = append(in, ManyRowInput{Wordline: Wordline{Kind: WLData, Index: i}, Copies: c})
 			}
-			in = append(in, ManyRowInput{Wordline: Wordline{Kind: WLC, Index: 0}, Copies: fill / 2},
-				ManyRowInput{Wordline: Wordline{Kind: WLC, Index: 1}, Copies: fill / 2})
-			block := make([]int, 16)
+			block := make([]int, tc.w)
 			for i := range block {
-				block[i] = 24 + i
+				block[i] = 20 + i
 			}
 			b.SetBytes(int64(g.RowSizeBytes))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.ActivateManyFrom(in, block, 20); err != nil {
+				if err := s.ActivateManyFrom(srcs, c, fill, block, 16); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -260,11 +260,7 @@ func (s *Subarray) sense(wls []Wordline) error {
 			s.faultMask = nil
 		}
 		if s.injector != nil {
-			if m := s.drawFault(FaultTRA, w); m != nil {
-				for i := 0; i < w && i < len(m); i++ {
-					s.amps[i] ^= m[i]
-				}
-			}
+			s.applyFault(s.amps, s.drawFault(FaultTRA, w))
 		}
 	default:
 		return fmt.Errorf("dram: activation of %d wordlines not supported", len(wls))
@@ -334,9 +330,7 @@ func (s *Subarray) overwrite(wls []Wordline) {
 			for i := range dst {
 				dst[i] = ^s.amps[i]
 			}
-			for i := 0; i < len(dst) && i < len(m); i++ {
-				dst[i] ^= m[i]
-			}
+			s.applyFault(dst, m)
 		} else {
 			copy(dst, s.amps)
 		}

@@ -150,7 +150,10 @@ type Model struct {
 	flipped atomic.Int64
 }
 
-var _ dram.ManyRowFaultInjector = (*Model)(nil)
+var (
+	_ dram.ManyRowFaultInjector = (*Model)(nil)
+	_ dram.FaultMaskRecycler    = (*Model)(nil)
+)
 
 // New creates a Model from cfg.
 func New(cfg Config) (*Model, error) {
@@ -236,7 +239,7 @@ func (m *Model) activationMask(st *stream, words int, bitRate, rowRate float64, 
 	if rowRate > 0 && st.rng.float64() < math.Min(rowRate, 1) {
 		gross = true
 		if mask == nil {
-			mask = make([]uint64, words)
+			mask = st.newMask(words)
 		}
 		// A collapsed activation leaves each bitline at an essentially
 		// random level; ANDing two draws flips ~25% of the row.
@@ -254,7 +257,7 @@ func (m *Model) TRAFaultMask(ctx dram.FaultContext, words int) []uint64 {
 		return nil
 	}
 	st := m.stream(ctx)
-	scale := m.rowScale(ctx) * m.tempScale * st.mult
+	scale := st.rowScale(m, ctx) * m.tempScale * st.mult
 	mask, gross := m.activationMask(st, words, m.cfg.TRABitRate*scale, m.cfg.TRARowRate*scale, nil, 0)
 	if mask == nil {
 		return nil
@@ -278,7 +281,7 @@ func (m *Model) MajFaultMask(ctx dram.FaultContext, words int, weak []uint64) []
 		return nil
 	}
 	st := m.stream(ctx)
-	scale := m.rowScale(ctx) * m.tempScale * st.mult * m.kMult(ctx.K)
+	scale := st.rowScale(m, ctx) * m.tempScale * st.mult * m.kMult(ctx.K)
 	var bias float64
 	if m.prof != nil {
 		bias = m.prof.PatternBias
@@ -302,13 +305,21 @@ func (m *Model) DCCFaultMask(ctx dram.FaultContext, words int) []uint64 {
 		return nil
 	}
 	st := m.stream(ctx)
-	mask := st.bitFlips(nil, words, m.cfg.DCCBitRate*m.rowScale(ctx)*m.tempScale*st.mult, nil, 0)
+	mask := st.bitFlips(nil, words, m.cfg.DCCBitRate*st.rowScale(m, ctx)*m.tempScale*st.mult, nil, 0)
 	if mask == nil {
 		return nil
 	}
 	m.dcc.Add(1)
 	m.flipped.Add(popcount(mask))
 	return mask
+}
+
+// RecycleFaultMask implements dram.FaultMaskRecycler: the storage of an
+// applied mask goes back to its (bank, subarray) stream, whose next fired
+// draw clears and reuses it instead of allocating.
+func (m *Model) RecycleFaultMask(ctx dram.FaultContext, mask []uint64) {
+	st := m.stream(ctx)
+	st.spare = append(st.spare, mask)
 }
 
 // kMult returns the profile's activation-width rate multiplier for a k-row
@@ -359,7 +370,7 @@ func (m *Model) rowScale(ctx dram.FaultContext) float64 {
 // and its weak-column seed; the seeding is a pure function of the model
 // configuration and the coordinates, never of creation order.
 func (m *Model) newStream(bank, sub int) *stream {
-	st := &stream{rng: rng{s: hash4(uint64(m.cfg.Seed), 0x5f4175, uint64(bank)+1, uint64(sub)+1)}}
+	st := &stream{rng: rng{s: hash4(uint64(m.cfg.Seed), 0x5f4175, uint64(bank)+1, uint64(sub)+1)}, scaleRow: -1, scale: 1}
 	st.weakFrac = m.cfg.WeakColumnFraction
 	st.weakSeed = hash4(uint64(m.cfg.Seed), 0xc01, uint64(bank)+1, uint64(sub)+1)
 	st.mult = 1
@@ -395,13 +406,42 @@ type stream struct {
 	weakSeed uint64
 	weakCols []int // lazily built per observed row width
 	weakBits int   // row width (bits) the weak set was built for
+
+	scaleRow int     // the row whose rowScale is scale (-1: no row)
+	scale    float64 // rowScale of scaleRow
+
+	spare [][]uint64 // applied masks handed back by RecycleFaultMask
+}
+
+// rowScale is m.rowScale(ctx) for a context on this stream's subarray,
+// keeping the last row's multiplier: a train's draws share its row.
+func (s *stream) rowScale(m *Model, ctx dram.FaultContext) float64 {
+	if ctx.Row != s.scaleRow {
+		s.scaleRow, s.scale = ctx.Row, m.rowScale(ctx)
+	}
+	return s.scale
+}
+
+// newMask returns a zeroed mask of the given width, reusing a recycled one
+// when it fits.
+func (s *stream) newMask(words int) []uint64 {
+	if n := len(s.spare); n > 0 {
+		m := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		if len(m) == words {
+			clear(m)
+			return m
+		}
+	}
+	return make([]uint64, words)
 }
 
 // bitFlips draws a Poisson number of flipped bits at the given per-bit rate
-// and ORs them into mask (allocating it on the first flip); returns the mask
-// (nil if no flips).  When bias > 0 and weak is non-empty, each flip lands on
-// a set bit of weak with probability bias (the data-pattern-dependent draw);
-// otherwise positions follow the weak-column bias, then uniform.
+// and ORs them into mask (taking a zeroed one on the first flip); returns
+// the mask (nil if no flips).  When bias > 0 and weak is non-empty, each
+// flip lands on a set bit of weak with probability bias (the
+// data-pattern-dependent draw); otherwise positions follow the weak-column
+// bias, then uniform.
 func (s *stream) bitFlips(mask []uint64, words int, rate float64, weak []uint64, bias float64) []uint64 {
 	if rate <= 0 {
 		return mask
@@ -412,12 +452,12 @@ func (s *stream) bitFlips(mask []uint64, words int, rate float64, weak []uint64,
 		n = bits
 	}
 	weakTotal := int64(0)
-	if bias > 0 {
-		weakTotal = popcount(weak)
+	if bias > 0 && n > 0 {
+		weakTotal = popcount(weak) // draws nothing
 	}
 	for i := 0; i < n; i++ {
 		if mask == nil {
-			mask = make([]uint64, words)
+			mask = s.newMask(words)
 		}
 		pos := -1
 		if weakTotal > 0 && s.rng.float64() < bias {

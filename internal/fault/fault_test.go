@@ -254,3 +254,96 @@ func TestWeakColumns(t *testing.T) {
 		t.Fatalf("hot columns absorbed %d/%d flips; weak-column bias not visible", hot, total)
 	}
 }
+
+// TestRecycledMasksDrawIdentically: handing applied masks back to the model
+// changes where fired masks live, never what they hold: a model whose every
+// mask is recycled draws the same masks and counters as one whose masks are
+// all kept, over TRA, MAJ-X and DCC draws on two subarrays whose row
+// contexts change between draws, and its fired draws reuse recycled storage.
+func TestRecycledMasksDrawIdentically(t *testing.T) {
+	p, ok := ProfileByName("vendorA-85C")
+	if !ok {
+		t.Fatal("builtin vendorA-85C missing")
+	}
+	p.Base.TRABitRate *= 30
+	p.Base.TRARowRate *= 30
+	p.Base.DCCBitRate *= 30
+	const words = 64
+	var models [2]*Model
+	for i := range models {
+		m, err := NewFromProfile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+	}
+	recycling, keeping := models[0], models[1]
+	weak := make([]uint64, words)
+	for i := range weak {
+		weak[i] = 0x00FF00FF00FF00FF
+	}
+	draw := func(m *Model, i int) []uint64 {
+		ctx := ctxAt(i%2, 0, i/3%7-1)
+		switch i % 3 {
+		case 0:
+			return m.TRAFaultMask(ctx, words)
+		case 1:
+			ctx.K = 16
+			return m.MajFaultMask(ctx, words, weak)
+		}
+		return m.DCCFaultMask(ctx, words)
+	}
+	recycled := map[*uint64]bool{}
+	fired, reused := 0, 0
+	for i := 0; i < 3000; i++ {
+		got, want := draw(recycling, i), draw(keeping, i)
+		if (got == nil) != (want == nil) || !maskEqual(got, want) {
+			t.Fatalf("draw %d: recycling model drew %x, keeping model %x", i, got, want)
+		}
+		if got == nil {
+			continue
+		}
+		fired++
+		if recycled[&got[0]] {
+			reused++
+		}
+		recycled[&got[0]] = true
+		recycling.RecycleFaultMask(ctxAt(i%2, 0, -1), got)
+	}
+	if recycling.Counters() != keeping.Counters() {
+		t.Fatalf("counters: recycling %+v, keeping %+v", recycling.Counters(), keeping.Counters())
+	}
+	if fired < 100 || reused < fired-2 {
+		t.Fatalf("%d masks fired, %d reused recycled storage", fired, reused)
+	}
+}
+
+// TestPatternBiasSteersEveryFlip: at PatternBias 1 every flip of a many-row
+// draw lands on a minimum-margin bit, single-flip draws included (the weak
+// bits are counted whenever a flip is drawn).
+func TestPatternBiasSteersEveryFlip(t *testing.T) {
+	m, err := NewFromProfile(&Profile{Name: "bias", Base: Config{TRABitRate: 1e-3, Seed: 5}, PatternBias: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const words = 16
+	weak := make([]uint64, words)
+	for i := range weak {
+		weak[i] = 0x8000_0000_0000_0101
+	}
+	single := 0
+	for i := 0; i < 500; i++ {
+		mask := m.MajFaultMask(dram.FaultContext{Row: -1, K: 16}, words, weak)
+		for j, v := range mask {
+			if v&^weak[j] != 0 {
+				t.Fatalf("draw %d: flip off the weak bits in word %d: %016x", i, j, v)
+			}
+		}
+		if maskBits(mask) == 1 {
+			single++
+		}
+	}
+	if single == 0 {
+		t.Fatal("no single-flip draw")
+	}
+}
