@@ -7,6 +7,7 @@ package ambit
 // pressure on exactly the paths ambitbench measures in GB/s.
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -91,6 +92,19 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// An installed but disabled tracer, and a registry carrying live
+	// labeled families (as after serving multi-tenant traffic) under
+	// untagged ops, cost no allocation over the plain System.
+	tr := NewTracer(NewLastNSink(16))
+	tr.SetEnabled(false)
+	offSys, oa, ob, oc := allocsSystem(t, WithTracer(tr))
+	reg := NewMetrics()
+	for i := 0; i < 64; i++ {
+		ns := Label{Key: "ns", Value: fmt.Sprintf("tenant-%d", i)}
+		reg.AddLabeled("svc_requests", 1, ns)
+		reg.LabeledHistogram("svc_wall_ns", WallBucketsNS, ns).Observe(1e6)
+	}
+	labSys, la, lb, lc := allocsSystem(t, WithMetrics(reg))
 	cases := []struct {
 		name string
 		call func() error
@@ -108,6 +122,8 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		{"FaultedECCAnd", func() error { return faultSys.And(fc, fa, fb) }},
 		{"FaultedECCXorInPlace", func() error { return faultSys.Xor(fc, fc, fb) }},
 		{"FaultedMaj", func() error { return faultSys.Maj(fout, fa, fb, fc) }},
+		{"DisabledTracerAnd", func() error { return offSys.And(oc, oa, ob) }},
+		{"LabeledRegistryAnd", func() error { return labSys.And(lc, la, lb) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,6 +232,64 @@ func TestBatchAllocsIndependentOfRows(t *testing.T) {
 	}
 	if small, large := allocsAt(8), allocsAt(64); small != large {
 		t.Errorf("Batch allocations grow with rows: %v at 8 rows, %v at 64", small, large)
+	}
+}
+
+// TestBatchRunAllocsIndependentOfOps: Batch.Run allocates per program, not
+// per op.  Once warm, running a recorded 64-op program makes exactly as many
+// allocations as running an 8-op one; recording is outside the count.
+func TestBatchRunAllocsIndependentOfOps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; zero-allocation gates run without -race")
+	}
+	sys, a, b, c := allocsSystem(t)
+	d := sys.MustAlloc(c.Len())
+	record := func(ops int) *Batch {
+		bt := sys.NewBatch()
+		for i := 0; i < ops; i++ {
+			var err error
+			switch i % 6 {
+			case 0:
+				err = bt.And(c, a, b)
+			case 1:
+				err = bt.Xor(c, c, a)
+			case 2:
+				err = bt.Not(d, c)
+			case 3:
+				err = bt.Copy(c, d)
+			case 4:
+				err = bt.Fill(d, i%4 == 0)
+			default:
+				_, err = bt.Popcount(c)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return bt
+	}
+	runAllocs := func(ops int) uint64 {
+		const runs = 50
+		batches := make([]*Batch, runs)
+		for i := range batches {
+			if _, err := record(ops).Run(); err != nil { // warm pools and the frontier map
+				t.Fatal(err)
+			}
+			batches[i] = record(ops)
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, bt := range batches {
+			if _, err := bt.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs
+	}
+	if small, large := runAllocs(8), runAllocs(64); small != large {
+		t.Errorf("Batch.Run allocations grow with ops: %d at 8 ops, %d at 64", small, large)
 	}
 }
 

@@ -11,109 +11,12 @@ import (
 	"ambit/internal/obs"
 )
 
-// batchKind enumerates the primitive kinds a Batch records.
-type batchKind uint8
-
-const (
-	batchBulk batchKind = iota
-	batchCopy
-	batchFill
-	batchPopcount
-	batchFunc
-)
-
-// batchOp is one recorded operation.  dst/a/b mirror the direct-call operand
-// roles: bulk ops use all three (b nil for unary), Copy uses dst/a
-// (destination/source), Fill uses dst, Popcount uses a.  Compiled-function
-// calls use fn/dsts/srcs instead.
-type batchOp struct {
-	kind    batchKind
-	op      controller.Op
-	dst     *Bitvector
-	a, b    *Bitvector
-	fillBit bool
-	result  *PopcountResult
-
-	fn   *Func
-	dsts []*Bitvector
-	srcs []*Bitvector
-
-	// rowLats is filled by the functional phase: the command-train
-	// latency of each row-level operation, consumed by the deterministic
-	// timing phase.
-	rowLats []float64
-	// rowRel holds each row's reliability outcome when the TMR policy is
-	// enabled (nil otherwise); the timing phase folds it into the stats
-	// and quarantine scores so worker goroutines never touch s.stats.
-	rowRel []controller.RowResult
-}
-
-// metricName is the opcode label used for metrics and spans — matching the
-// labels the direct-call path uses, so observations from both routes merge.
-func (o *batchOp) metricName() string {
-	switch o.kind {
-	case batchBulk:
-		return o.op.String()
-	case batchCopy:
-		return "copy"
-	case batchFill:
-		return "fill"
-	case batchFunc:
-		return "func:" + o.fn.name
-	default:
-		return "popcount"
-	}
-}
-
-// itemRows returns the rows that key the op's row-level items: the rows
-// whose banks run them.
-func (o *batchOp) itemRows() []dram.PhysAddr {
-	switch o.kind {
-	case batchPopcount:
-		return o.a.rows
-	case batchFunc:
-		return o.dsts[0].rows
-	}
-	return o.dst.rows
-}
-
-// rows returns how many rows the op touches (for span reporting).
-func (o *batchOp) rows() int { return len(o.itemRows()) }
-
-// name renders the op for error messages.
-func (o *batchOp) name() string {
-	switch o.kind {
-	case batchBulk:
-		return o.op.String()
-	case batchCopy:
-		return "Copy"
-	case batchFill:
-		return "Fill"
-	case batchFunc:
+// name renders the op for recording errors.
+func (o *opRecord) name() string {
+	if o.kind == opFunc {
 		return "Call(" + o.fn.name + ")"
-	default:
-		return "Popcount"
 	}
-}
-
-// coherenceRows returns how many cached rows must be flushed or invalidated
-// before the op may touch DRAM (DESIGN.md "Coherence model"): bulk ops flush
-// their source rows (destination invalidation hides behind the B-group
-// staging), Copy flushes sources and invalidates destinations, Fill
-// invalidates destinations, and Popcount is an ordinary cached read.
-func (o *batchOp) coherenceRows() int64 {
-	switch o.kind {
-	case batchBulk:
-		return int64(len(o.dst.rows)) * int64(o.op.InputRows())
-	case batchCopy:
-		return 2 * int64(len(o.dst.rows))
-	case batchFill:
-		return int64(len(o.dst.rows))
-	case batchFunc:
-		return int64(len(o.dsts[0].rows)) * int64(o.fn.c.NumInputs)
-	default:
-		return 0
-	}
+	return o.label()
 }
 
 // eachAccess calls visit for every operand of the op by role: the vectors
@@ -122,22 +25,22 @@ func (o *batchOp) coherenceRows() int64 {
 // place is visited twice.  The B-group and control rows an op stages through
 // are not operands: they are transient within one atomic command train, so
 // they impose bank occupancy (the timelines) but no data dependency.
-func (o *batchOp) eachAccess(visit func(v *Bitvector, write bool)) {
+func (o *opRecord) eachAccess(visit func(v *Bitvector, write bool)) {
 	switch o.kind {
-	case batchBulk:
+	case opBulk:
 		visit(o.dst, true)
 		visit(o.a, false)
 		if !o.op.Unary() {
 			visit(o.b, false)
 		}
-	case batchCopy:
+	case opCopy:
 		visit(o.dst, true)
 		visit(o.a, false)
-	case batchFill:
+	case opFill:
 		visit(o.dst, true)
-	case batchPopcount:
+	case opPopcount:
 		visit(o.a, false)
-	case batchFunc:
+	case opFunc:
 		for _, v := range o.dsts {
 			visit(v, true)
 		}
@@ -150,7 +53,7 @@ func (o *batchOp) eachAccess(visit func(v *Bitvector, write bool)) {
 // PopcountResult is the pending result of a Batch.Popcount; its value
 // becomes available once the batch has run.
 type PopcountResult struct {
-	n    int64
+	n    atomic.Int64 // concurrent bank streams add into it
 	done bool
 }
 
@@ -160,7 +63,7 @@ func (p *PopcountResult) Value() (int64, error) {
 	if !p.done {
 		return 0, fmt.Errorf("ambit: PopcountResult: batch has not run")
 	}
-	return p.n, nil
+	return p.n.Load(), nil
 }
 
 // BatchReport summarizes one Batch.Run.
@@ -196,7 +99,7 @@ type BatchReport struct {
 // Batch can run only once.
 type Batch struct {
 	sys *System
-	ops []*batchOp
+	ops []opRecord
 	ran bool
 }
 
@@ -207,14 +110,14 @@ func (s *System) NewBatch() *Batch { return &Batch{sys: s} }
 func (b *Batch) Len() int { return len(b.ops) }
 
 // record validates and appends one operation.
-func (b *Batch) record(op *batchOp) error {
+func (b *Batch) record(op opRecord) error {
 	s := b.sys
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	if b.ran {
 		return fmt.Errorf("ambit: Batch: cannot record %s after Run", op.name())
 	}
-	if op.kind == batchFunc {
+	if op.kind == opFunc {
 		// The compiled-function validator covers liveness, arity, shape,
 		// and the train-order aliasing rules in one place.
 		if err := s.checkFuncOperands(op.fn, op.dsts, op.srcs); err != nil {
@@ -233,11 +136,11 @@ func (b *Batch) record(op *batchOp) error {
 		return fmt.Errorf("ambit: Batch.%s: %w", op.name(), bad)
 	}
 	switch op.kind {
-	case batchBulk:
+	case opBulk:
 		if !op.dst.sameShape(op.a) || (!op.op.Unary() && !op.dst.sameShape(op.b)) {
 			return fmt.Errorf("ambit: Batch.%v: %w (size mismatch or foreign allocation); cooperating bitvectors must be allocated with the same size and base slot on one System (Section 5.4.2)", op.op, ErrShapeMismatch)
 		}
-	case batchCopy:
+	case opCopy:
 		if len(op.dst.rows) != len(op.a.rows) {
 			return fmt.Errorf("ambit: Batch.Copy: %w (%d vs %d rows)", ErrShapeMismatch, len(op.dst.rows), len(op.a.rows))
 		}
@@ -248,7 +151,7 @@ func (b *Batch) record(op *batchOp) error {
 
 // bulk records dst = op(a[, b]).
 func (b *Batch) bulk(op controller.Op, dst, a, bv *Bitvector) error {
-	return b.record(&batchOp{kind: batchBulk, op: op, dst: dst, a: a, b: bv})
+	return b.record(opRecord{kind: opBulk, op: op, dst: dst, a: a, b: bv})
 }
 
 // And records dst = a AND b.
@@ -282,12 +185,12 @@ func (b *Batch) Apply(op controller.Op, dst, a, bv *Bitvector) error {
 
 // Copy records a RowClone copy of src into dst.
 func (b *Batch) Copy(dst, src *Bitvector) error {
-	return b.record(&batchOp{kind: batchCopy, dst: dst, a: src})
+	return b.record(opRecord{kind: opCopy, dst: dst, a: src})
 }
 
 // Fill records setting every bit of v to the given value.
 func (b *Batch) Fill(v *Bitvector, bit bool) error {
-	return b.record(&batchOp{kind: batchFill, dst: v, fillBit: bit})
+	return b.record(opRecord{kind: opFill, dst: v, fill: bit})
 }
 
 // Call records dsts... = f(srcs...) for a compiled function (System.Compile).
@@ -298,14 +201,14 @@ func (b *Batch) Call(f *Func, dsts []*Bitvector, srcs ...*Bitvector) error {
 	if f == nil {
 		return fmt.Errorf("ambit: Batch.Call: nil function")
 	}
-	return b.record(&batchOp{kind: batchFunc, fn: f, dsts: dsts, srcs: srcs})
+	return b.record(opRecord{kind: opFunc, fn: f, dsts: dsts, srcs: srcs})
 }
 
 // Popcount records a CPU-side population count of v.  The returned
 // PopcountResult yields its value after Run succeeds.
 func (b *Batch) Popcount(v *Bitvector) (*PopcountResult, error) {
 	res := &PopcountResult{}
-	if err := b.record(&batchOp{kind: batchPopcount, a: v, result: res}); err != nil {
+	if err := b.record(opRecord{kind: opPopcount, a: v, result: res}); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -344,7 +247,8 @@ func (b *Batch) Run() (BatchReport, error) {
 		return BatchReport{}, nil
 	}
 	// Operands may have been freed between recording and Run.
-	for i, op := range b.ops {
+	for i := range b.ops {
+		op := &b.ops[i]
 		freed := false
 		op.eachAccess(func(v *Bitvector, _ bool) { freed = freed || v.rows == nil })
 		if freed {
@@ -356,25 +260,23 @@ func (b *Batch) Run() (BatchReport, error) {
 	if observing {
 		devBefore = s.dev.Stats()
 	}
-	if err := b.execute(); err != nil {
+	lats, rels, err := b.execute()
+	if err != nil {
 		// Reliability outcomes of completed rows are dropped on error
 		// (the timing phase never runs), but an exhausted retry budget is
 		// still counted so the failure is visible in the stats.
 		if errors.Is(err, ErrUncorrectable) {
-			s.stats.UncorrectableRows++
-			if m := s.cfg.Metrics; m != nil {
-				m.Add("uncorrectable_rows", 1)
-			}
+			s.countUncorrectableLocked(Tag{})
 		}
 		return BatchReport{}, err
 	}
-	makespan, waves := b.schedule()
+	makespan, waves := b.schedule(lats, rels)
 	if observing {
 		s.observeOp(Tag{}, "batch", -1, len(b.ops), s.stats.ElapsedNS-makespan, makespan, devBefore)
 	}
-	for _, op := range b.ops {
-		if op.result != nil {
-			op.result.done = true
+	for i := range b.ops {
+		if r := b.ops[i].result; r != nil {
+			r.done = true
 		}
 	}
 	return BatchReport{Ops: len(b.ops), Waves: waves, MakespanNS: makespan}, nil
@@ -396,36 +298,34 @@ type batchItem struct {
 // the same DRAM row land in the same bank's stream, already ordered.  It
 // also gives each (bank, subarray) fault stream the draw order of a serial
 // recording-order run, so faulted batches are deterministic at any worker
-// count.  Per-row latencies (and, under ECC, reliability outcomes) land in
-// rowLats/rowRel for the timing phase.
+// count.  It returns each item's train latency and, under ECC, each bulk
+// item's reliability outcome (rels is nil otherwise), indexed by item, for
+// the timing phase.
 //
 // A cross-bank copy row (a PSM copy through the channel) touches two banks
 // in one train, so a program containing one runs all its items as a single
 // recording-order stream on the calling goroutine instead (exec.PlanStream).
-func (b *Batch) execute() error {
+func (b *Batch) execute() (lats []float64, rels []controller.RowResult, err error) {
 	s := b.sys
 	n := 0
 	crossBank := false
-	for _, op := range b.ops {
-		rows := op.rows()
-		if op.kind != batchPopcount {
-			op.rowLats = make([]float64, rows)
-		}
-		if op.kind == batchBulk && s.cfg.Reliability.ECC {
-			op.rowRel = make([]controller.RowResult, rows)
-		}
-		if op.kind == batchCopy {
+	for i := range b.ops {
+		op := &b.ops[i]
+		n += op.rows()
+		if op.kind == opCopy {
 			for r := range op.dst.rows {
 				crossBank = crossBank || op.a.rows[r].Bank != op.dst.rows[r].Bank
 			}
 		}
-		n += rows
 	}
-	items := make([]batchItem, 0, n)
+	st := &batchStreams{b: b, items: make([]batchItem, 0, n), lats: make([]float64, n)}
+	if s.cfg.Reliability.ECC {
+		st.rels = make([]controller.RowResult, n)
+	}
 	addrs := make([]dram.PhysAddr, 0, n)
-	for i, op := range b.ops {
-		for r, a := range op.itemRows() {
-			items = append(items, batchItem{int32(i), int32(r)})
+	for i := range b.ops {
+		for r, a := range b.ops[i].itemRows() {
+			st.items = append(st.items, batchItem{int32(i), int32(r)})
 			addrs = append(addrs, a)
 		}
 	}
@@ -434,163 +334,53 @@ func (b *Batch) execute() error {
 	// goroutine, the ShardSet single-writer rule.
 	var plan *exec.Plan
 	if crossBank {
-		plan = s.eng.PlanStream(len(items))
+		plan = s.eng.PlanStream(n)
 	} else {
 		plan = s.eng.PlanAddrs(addrs)
 	}
 	defer plan.Release()
-	st := &batchStreams{b: b, items: items, ss: s.cfg.Tracer.BeginShards(plan.Banks())}
+	st.ss = s.cfg.Tracer.BeginShards(plan.Banks())
 	res := s.eng.RunPlan(plan, st)
 	st.ss.MergeAndEmit()
-	return res.Err
+	if res.Err != nil {
+		it := st.items[res.ErrRow]
+		return nil, nil, fmt.Errorf("ambit: batch %s row %d: %w", b.ops[it.op].label(), it.row, res.Err)
+	}
+	return st.lats, st.rels, nil
 }
 
-// batchStreams runs bank streams of one flattened program (exec.GroupRunner).
-// A stream's rows are item indices, ascending (recording order); on failure
-// the group reports the failing item as its ErrRow, so RunPlan's merge
-// returns the lowest failing item's error.
+// batchStreams runs bank streams of one flattened program through runRows
+// (exec.GroupRunner): the stream index is the item index, ascending within
+// a stream (recording order), so RunPlan's merge returns the error of the
+// lowest failing item.  Each completed row lands in lats, and each ECC bulk
+// row's outcome in rels, at its item index.
 type batchStreams struct {
 	b     *Batch
 	items []batchItem
+	lats  []float64
+	rels  []controller.RowResult
 	ss    *obs.ShardSet
 }
 
-// RunGroup executes one stream.  Consecutive bulk items with the same opcode
-// on the same bank coalesce into a single fused word-parallel evaluation.
+// RunGroup executes one stream.
 func (st *batchStreams) RunGroup(_ int, idx []int) exec.GroupResult {
-	s := st.b.sys
-	k := 0
-	for k < len(idx) {
-		it := st.items[idx[k]]
-		op := st.b.ops[it.op]
-		if op.kind == batchBulk {
-			bank := op.dst.rows[it.row].Bank
-			j := k + 1
-			for j < len(idx) {
-				nx := st.items[idx[j]]
-				nop := st.b.ops[nx.op]
-				if nop.kind != batchBulk || nop.op != op.op || nop.dst.rows[nx.row].Bank != bank {
-					break
-				}
-				j++
-			}
-			if item, err := st.runBulk(bank, idx[k:j]); err != nil {
-				return exec.GroupResult{Err: err, ErrRow: item}
-			}
-			k = j
-			continue
-		}
-		var lat float64
-		var err error
-		switch op.kind {
-		case batchCopy:
-			st.ss.SetRow(op.dst.rows[it.row].Bank, idx[k])
-			if _, lat, err = s.rc.Copy(op.a.rows[it.row], op.dst.rows[it.row]); err != nil {
-				err = fmt.Errorf("ambit: batch Copy row %d: %w", it.row, err)
-			}
-		case batchFill:
-			addr := op.dst.rows[it.row]
-			st.ss.SetRow(addr.Bank, idx[k])
-			if op.fillBit {
-				lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
-			} else {
-				lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
-			}
-			if err != nil {
-				err = fmt.Errorf("ambit: batch Fill row %d: %w", it.row, err)
-			}
-		case batchFunc:
-			bp := rowAddrPool.Get().(*[]dram.RowAddr)
-			buf := *bp
-			nOps := op.fn.c.NumInputs + op.fn.c.NumOutputs
-			if cap(buf) < nOps {
-				buf = make([]dram.RowAddr, nOps)
-			}
-			buf = buf[:nOps]
-			da := fillFuncRow(op.fn, op.dsts, op.srcs, int(it.row), buf)
-			st.ss.SetRow(da.Bank, idx[k])
-			if lat, err = s.ctrl.ExecuteTrain(op.fn.c.Train, da.Bank, da.Subarray, buf); err != nil {
-				err = fmt.Errorf("ambit: batch func %s row %d: %w", op.fn.name, it.row, err)
-			}
-			*bp = buf[:0]
-			rowAddrPool.Put(bp)
-		case batchPopcount:
-			var pc int64
-			if pc, err = s.dev.PopcountRow(op.a.rows[it.row]); err != nil {
-				err = fmt.Errorf("ambit: batch Popcount row %d: %w", it.row, err)
-			}
-			atomic.AddInt64(&op.result.n, pc)
-		}
-		if err != nil {
-			return exec.GroupResult{Err: err, ErrRow: idx[k]}
-		}
-		if op.rowLats != nil {
-			op.rowLats[it.row] = lat
-		}
-		k++
-	}
-	return exec.GroupResult{ErrRow: -1}
+	return st.b.sys.runRows(idx, st.ss, st)
 }
 
-// runBulk executes a run of same-opcode bulk items on one bank: one fused
-// word-parallel pass over all of their trains, or — under ECC, and whenever
-// the fused dispatch declines the run (tracing, an armed fault injector,
-// raised amplifiers) — the per-row controller call.  On failure it returns
-// the failing item's index.
-func (st *batchStreams) runBulk(bank int, idx []int) (int, error) {
-	s := st.b.sys
-	op0 := st.b.ops[st.items[idx[0]].op].op
-	unary := op0.Unary()
-	ecc := s.cfg.Reliability.ECC
-	if !ecc {
-		tp := trainPool.Get().(*[]controller.RowTrain)
-		trains := (*tp)[:0]
-		for _, ii := range idx {
-			it := st.items[ii]
-			op := st.b.ops[it.op]
-			da := op.dst.rows[it.row]
-			t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: op.a.rows[it.row].Row}
-			if !unary {
-				t.DJ = op.b.rows[it.row].Row
-			}
-			trains = append(trains, t)
-		}
-		lat, ok := s.ctrl.ExecuteOpRowsFused(op0, bank, trains)
-		*tp = trains[:0]
-		trainPool.Put(tp)
-		if ok {
-			for _, ii := range idx {
-				it := st.items[ii]
-				st.b.ops[it.op].rowLats[it.row] = lat
-			}
-			return -1, nil
-		}
-	}
-	for _, ii := range idx {
-		st.ss.SetRow(bank, ii)
-		it := st.items[ii]
-		op := st.b.ops[it.op]
-		da, aa := op.dst.rows[it.row], op.a.rows[it.row]
-		var ba dram.RowAddr
-		if !unary {
-			ba = op.b.rows[it.row].Row
-		}
-		var lat float64
-		var err error
-		if ecc {
-			var rr controller.RowResult
-			rr, err = s.execRowReliable(op.op, da, aa.Row, ba)
-			op.rowRel[it.row] = rr
-			lat = rr.LatencyNS
-		} else {
-			lat, err = s.ctrl.ExecuteOp(op.op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
-		}
-		if err != nil {
-			return ii, fmt.Errorf("ambit: batch %v row %d: %w", op.op, it.row, err)
-		}
-		op.rowLats[it.row] = lat
-	}
-	return -1, nil
+func (st *batchStreams) at(i int) (*opRecord, int) {
+	it := st.items[i]
+	return &st.b.ops[it.op], int(it.row)
+}
+
+// bookRow stores the row's latency; its completion time is the timing
+// phase's to compute.
+func (st *batchStreams) bookRow(i, _ int, lat float64) float64 {
+	st.lats[i] = lat
+	return 0
+}
+
+func (st *batchStreams) bookReliable(i int, _ dram.PhysAddr, rr controller.RowResult) {
+	st.rels[i] = rr
 }
 
 // vecFrontier is one operand vector's entry in the timing phase's dependency
@@ -613,7 +403,7 @@ type vecFrontier struct {
 // maxima of the same floats.  Each row train reserves its bank's own
 // timeline, and channel-bound ops (Popcount) serialize on a single channel
 // timeline.  The system clock advances to the finish of the last op.
-func (b *Batch) schedule() (float64, int) {
+func (b *Batch) schedule(lats []float64, rels []controller.RowResult) (float64, int) {
 	s := b.sys
 	if s.frontier == nil {
 		s.frontier = make(map[*Bitvector]vecFrontier)
@@ -622,9 +412,10 @@ func (b *Batch) schedule() (float64, int) {
 	base := s.stats.ElapsedNS
 	channelFree := base
 	makespan := base
-	waves := 0
+	waves, off := 0, 0 // off: the item index of op's first row
 	observing := s.observing()
-	for _, op := range b.ops {
+	for i := range b.ops {
+		op := &b.ops[i]
 		start, wave := base, 0
 		op.eachAccess(func(v *Bitvector, write bool) {
 			f := fr[v]
@@ -638,49 +429,23 @@ func (b *Batch) schedule() (float64, int) {
 		opStart := start
 		start += s.coherenceNS(op.coherenceRows())
 		end := start
-		switch op.kind {
-		case batchBulk:
-			for r, lat := range op.rowLats {
-				done := s.dev.Bank(op.dst.rows[r].Bank).Reserve(start, lat)
-				s.utilRecord(Tag{}, op.dst.rows[r].Bank, done, lat)
-				if done > end {
-					end = done
-				}
-			}
-			for r, rr := range op.rowRel {
-				s.accountReliabilityLocked(Tag{}, op.dst.rows[r], rr)
-			}
-			s.stats.BulkOps[op.op]++
-			s.stats.RowOps += int64(len(op.dst.rows))
-		case batchCopy, batchFill:
-			for r, lat := range op.rowLats {
-				done := s.dev.Bank(op.dst.rows[r].Bank).Reserve(start, lat)
-				s.utilRecord(Tag{}, op.dst.rows[r].Bank, done, lat)
-				if done > end {
-					end = done
-				}
-			}
-			s.stats.Copies += int64(len(op.dst.rows))
-		case batchFunc:
-			for r, lat := range op.rowLats {
-				bank := op.dsts[0].rows[r].Bank
-				done := s.dev.Bank(bank).Reserve(start, lat)
-				s.utilRecord(Tag{}, bank, done, lat)
-				if done > end {
-					end = done
-				}
-			}
-			s.stats.FuncOps++
-			s.stats.RowOps += int64(len(op.rowLats))
-		case batchPopcount:
-			bytes := int64(len(op.a.rows)) * int64(s.dev.Geometry().RowSizeBytes)
-			if channelFree > start {
-				start = channelFree
-			}
+		rows := op.itemRows()
+		if op.kind == opPopcount {
+			bytes := int64(len(rows)) * int64(s.dev.Geometry().RowSizeBytes)
+			start = max(start, channelFree)
 			end = start + float64(bytes)/s.dev.Timing().ChannelGBps
 			channelFree = end
 			s.stats.ChannelBytes += bytes
+		} else {
+			for r, addr := range rows {
+				end = max(end, s.reserveRow(Tag{}, addr.Bank, start, lats[off+r]))
+				if rels != nil { // zero for all but bulk rows: accounts nothing
+					s.accountReliabilityLocked(Tag{}, addr, rels[off+r])
+				}
+			}
 		}
+		off += len(rows)
+		s.countOpLocked(op, len(rows), true)
 		// Writes are visited first, so an op that updates a vector in place
 		// also stays listed as its reader; that entry repeats the writer's
 		// finish and wave, so it adds no constraint.
@@ -693,23 +458,21 @@ func (b *Batch) schedule() (float64, int) {
 			f.readEnd, f.readWave = max(f.readEnd, end), max(f.readWave, wave)
 			fr[v] = f
 		})
-		if end > makespan {
-			makespan = end
-		}
+		makespan = max(makespan, end)
 		// Per-op observation happens here, in the timing phase, where the
 		// op's placement on the simulated timeline is known (the functional
 		// phase runs concurrently and has no meaningful clock).  Energy is
 		// attributed to the enclosing batch span, not per op: device
 		// counters advance interleaved across the bank streams.
 		if observing {
-			name := op.metricName()
+			name := op.spanName()
 			if m := s.cfg.Metrics; m != nil {
 				m.ObserveLatencyNS(name, end-opStart)
 			}
 			if tr := s.cfg.Tracer; tr.Enabled() {
 				tr.Emit(obs.Event{
 					Kind: obs.KindSpan, Name: name, Bank: -1, Subarray: -1,
-					StartNS: opStart, DurNS: end - opStart, Rows: op.rows(),
+					StartNS: opStart, DurNS: end - opStart, Rows: len(rows),
 					Comment: "batch",
 				})
 			}

@@ -184,12 +184,11 @@ func (s *System) runMultiTagged(tag Tag, f *Func, dsts []*Bitvector, srcs []*Bit
 	}
 	// The runner keeps its own copies of the operand lists, so Run's
 	// one-element destination list and variadic sources stay on the stack.
-	run := getOpRunner(s, runFunc, tag)
-	run.f = f
+	run := getOpRunner(s, opFunc, tag)
+	run.fn = f
 	run.dsts = append(run.dsts, dsts...)
 	run.srcs = append(run.srcs, srcs...)
-	rows := dsts[0].rows
-	return s.dispatch(run, s.eng.PlanAddrs(rows), len(rows), int64(len(rows))*int64(f.c.NumInputs))
+	return s.dispatch(run, s.eng.PlanAddrs(dsts[0].rows))
 }
 
 // checkFuncOperands validates operand liveness, shape, and aliasing for one

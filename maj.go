@@ -38,10 +38,10 @@ func (s *System) majTagged(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
 	if err := s.checkMajOperands(dst, srcs); err != nil {
 		return err
 	}
-	run := getOpRunner(s, runMaj, tag)
+	run := getOpRunner(s, opMaj, tag)
 	run.dst = dst
 	run.srcs = append(run.srcs, srcs...)
-	return s.dispatch(run, s.eng.PlanAddrs(dst.rows), len(dst.rows), int64(len(dst.rows))*int64(len(srcs)+1))
+	return s.dispatch(run, s.eng.PlanAddrs(dst.rows))
 }
 
 // majFaultsBefore snapshots the fault model's many-row injection counters

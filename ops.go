@@ -91,9 +91,9 @@ func (s *System) applyTagged(tag Tag, op controller.Op, dst, a, b *Bitvector) er
 	if err := s.checkApplyOperands(op, dst, a, b); err != nil {
 		return err
 	}
-	run := getOpRunner(s, runBulk, tag)
-	run.op, run.dst, run.a, run.b, run.ecc = op, dst, a, b, s.cfg.Reliability.ECC
-	return s.dispatch(run, s.eng.PlanAddrs(dst.rows), len(dst.rows), int64(len(dst.rows))*int64(op.InputRows()))
+	run := getOpRunner(s, opBulk, tag)
+	run.op, run.dst, run.a, run.b = op, dst, a, b
+	return s.dispatch(run, s.eng.PlanAddrs(dst.rows))
 }
 
 // execRowReliable runs one row-level command train under the TMR
@@ -198,9 +198,9 @@ func (s *System) copyTagged(tag Tag, dst, src *Bitvector) error {
 		defer s.execMu.RUnlock()
 		plan = s.eng.PlanAddrs(dst.rows)
 	}
-	run := getOpRunner(s, runCopy, tag)
+	run := getOpRunner(s, opCopy, tag)
 	run.dst, run.a = dst, src
-	return s.dispatch(run, plan, len(dst.rows), 2*int64(len(dst.rows)))
+	return s.dispatch(run, plan)
 }
 
 // checkCopyOperands validates operand liveness and shape for one Copy and
@@ -235,9 +235,9 @@ func (s *System) fillTagged(tag Tag, v *Bitvector, bit bool) error {
 	if err := s.checkOperands("Fill", v); err != nil {
 		return err
 	}
-	run := getOpRunner(s, runFill, tag)
+	run := getOpRunner(s, opFill, tag)
 	run.dst, run.fill = v, bit
-	return s.dispatch(run, s.eng.PlanAddrs(v.rows), len(v.rows), int64(len(v.rows)))
+	return s.dispatch(run, s.eng.PlanAddrs(v.rows))
 }
 
 // Popcount counts the set bits of v on the CPU: the vector streams over the

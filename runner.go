@@ -11,57 +11,313 @@ import (
 	"ambit/internal/obs"
 )
 
-// Pooled per-operation group runners.  The direct operations (Apply, Copy,
-// Fill, Func.Run, Maj) run their rows through internal/exec without a
-// closure per operation: closures capture, captures allocate, and the
-// direct-op hot path must not.  An opRunner is checked out per operation,
-// carries the operands and the schedule start time, and implements
-// exec.GroupRunner over whole bank groups; System.dispatch runs it.
-// Group-granular dispatch is also what enables the multi-row fused
-// fast path: a bulk group with tracing off and ECC off batches all of its
-// rows into a single controller.ExecuteOpRowsFused call — one word-parallel
-// pass, one device stats commit, one controller stats lock for the whole
-// bank — with the row-at-a-time body kept as the exact-semantics fallback
-// (traced runs, ECC, armed fault models, ineligible operands).
+// One row executor for every operation.  A direct operation (Apply, Copy,
+// Fill, Func.Run, Maj) and a Batch.Run stream both describe an operation by
+// an opRecord and run its rows through System.runRows, the one set of
+// per-kind row bodies: consecutive same-opcode bulk rows on one bank
+// coalesce into a single controller.ExecuteOpRowsFused call — one
+// word-parallel pass, one device stats commit, one controller stats lock —
+// unless ECC is on, with ExecuteOp or execRowReliable one row at a time as
+// the exact-semantics fallback (traced runs, ECC, armed fault models,
+// ineligible operands).  The two routes differ only in how a completed row
+// is booked (rowBooker).  A direct op's opRunner books each row at once: it
+// reserves the bank's timeline from the operation's start and accounts
+// reliability under statsMu.  A Batch's batchStreams stores per-item
+// latencies and reliability outcomes for the deterministic timing phase.
+// Both implement exec.GroupRunner with pointer receivers and no closures:
+// closures capture, captures allocate, and the direct-op hot path must not.
 //
 // Scratch slices (operand address buffers, train lists) come from pools and
-// are claimed per group, never shared across the concurrently running groups
-// of one plan.
+// are claimed per runRows call, never shared across the concurrently
+// running groups of one plan; the runner itself is read-only while its plan
+// runs.
 
-// runnerKind selects the per-row body an opRunner executes.
-type runnerKind uint8
+// opKind selects an operation's row body.
+type opKind uint8
 
 const (
-	runBulk runnerKind = iota
-	runCopy
-	runFill
-	runFunc
-	runMaj
+	opBulk opKind = iota
+	opCopy
+	opFill
+	opFunc
+	opMaj
+	opPopcount
 )
 
-// opRunner executes one operation's bank groups.  Fields are populated by
-// the dispatching operation and cleared on release; the zero start time of a
-// pooled runner is never observed because every dispatch overwrites it.
+// opRecord is one operation's operands.  dst/a/b follow the direct-call
+// roles: bulk ops use all three (b nil for unary), Copy uses dst/a
+// (destination/source), Fill uses dst and fill, Maj uses dst/srcs, and
+// Popcount uses a and result.  Compiled-function calls use fn/dsts/srcs.
+type opRecord struct {
+	kind   opKind
+	op     controller.Op
+	dst    *Bitvector
+	a, b   *Bitvector
+	fill   bool
+	fn     *Func
+	dsts   []*Bitvector
+	srcs   []*Bitvector
+	result *PopcountResult
+}
+
+// itemRows returns the rows that key the op's row-level work: the rows
+// whose banks run it.
+func (o *opRecord) itemRows() []dram.PhysAddr {
+	switch o.kind {
+	case opPopcount:
+		return o.a.rows
+	case opFunc:
+		return o.dsts[0].rows
+	}
+	return o.dst.rows
+}
+
+// rows returns how many rows the op touches.
+func (o *opRecord) rows() int { return len(o.itemRows()) }
+
+// label names the op in row errors: "ambit: <label> row N: ...".
+func (o *opRecord) label() string {
+	switch o.kind {
+	case opBulk:
+		return o.op.String()
+	case opCopy:
+		return "Copy"
+	case opFill:
+		return "Fill"
+	case opFunc:
+		return "func " + o.fn.name
+	case opMaj:
+		return "Maj"
+	}
+	return "Popcount"
+}
+
+// spanName is the op's metric and span label, the same on both routes so
+// their observations merge.
+func (o *opRecord) spanName() string {
+	switch o.kind {
+	case opBulk:
+		return o.op.String()
+	case opCopy:
+		return "copy"
+	case opFill:
+		return "fill"
+	case opFunc:
+		return "func:" + o.fn.name
+	case opMaj:
+		return "maj"
+	}
+	return "popcount"
+}
+
+// coherenceRows returns how many cached rows must be flushed or invalidated
+// before the op may touch DRAM (DESIGN.md "Coherence model"): bulk ops and
+// compiled functions flush their source rows (destination invalidation
+// hides behind the B-group staging), Maj charges its k sources plus the
+// destination, Copy flushes sources and invalidates destinations, Fill
+// invalidates destinations, and Popcount is an ordinary cached read.
+func (o *opRecord) coherenceRows() int64 {
+	n := int64(o.rows())
+	switch o.kind {
+	case opBulk:
+		return n * int64(o.op.InputRows())
+	case opCopy:
+		return 2 * n
+	case opFill:
+		return n
+	case opFunc:
+		return n * int64(o.fn.c.NumInputs)
+	case opMaj:
+		return n * int64(len(o.srcs)+1)
+	}
+	return 0
+}
+
+// train returns a bulk op's operand rows for one row (DJ is zero for a
+// unary op).
+func (o *opRecord) train(row int) controller.RowTrain {
+	da := o.dst.rows[row]
+	t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: o.a.rows[row].Row}
+	if !o.op.Unary() {
+		t.DJ = o.b.rows[row].Row
+	}
+	return t
+}
+
+// countOpLocked adds rows completed rows of o to the Stats counters, and o
+// itself when it completed.  Popcount rows count nothing here: the timing
+// phase charges their channel bytes.  The caller holds statsMu, or execMu
+// exclusively.
+func (s *System) countOpLocked(o *opRecord, rows int, done bool) {
+	switch o.kind {
+	case opCopy, opFill:
+		s.stats.Copies += int64(rows)
+	case opPopcount:
+	default:
+		s.stats.RowOps += int64(rows)
+	}
+	if !done {
+		return
+	}
+	switch o.kind {
+	case opBulk:
+		s.stats.BulkOps[o.op]++
+	case opFunc:
+		s.stats.FuncOps++
+	case opMaj:
+		s.stats.MajOps++
+	}
+}
+
+// countUncorrectableLocked records one row whose TMR retry budget ran out.
+// The caller holds statsMu, or execMu exclusively.
+func (s *System) countUncorrectableLocked(tag Tag) {
+	s.stats.UncorrectableRows++
+	if m := s.cfg.Metrics; m != nil {
+		m.Add("uncorrectable_rows", 1)
+	}
+	s.addLabeledNS(tag, "uncorrectable_rows", 1)
+}
+
+// reserveRow books one row train of latency lat on bank from start: it
+// reserves the bank's timeline, records the busy interval for the
+// utilization collector, and returns the train's completion time.
+func (s *System) reserveRow(tag Tag, bank int, start, lat float64) float64 {
+	done := s.dev.Bank(bank).Reserve(start, lat)
+	s.utilRecord(tag, bank, done, lat)
+	return done
+}
+
+// rowBooker is what runRows needs from its caller.  A stream index i names
+// one row of one operation: at returns them, bookRow books the row's
+// completed train of latency lat on bank and returns its completion time,
+// and bookReliable takes the TMR outcome of a bulk row at addr under ECC
+// (booked whether or not the row failed).
+type rowBooker interface {
+	at(i int) (op *opRecord, row int)
+	bookRow(i, bank int, lat float64) float64
+	bookReliable(i int, addr dram.PhysAddr, rr controller.RowResult)
+}
+
+// trainPool recycles the per-run RowTrain scratch of the multi-row fused
+// dispatch.
+var trainPool = sync.Pool{New: func() any { return new([]controller.RowTrain) }}
+
+// rowAddrPool recycles the per-call operand-address scratch of maj and
+// compiled-func rows.
+var rowAddrPool = sync.Pool{New: func() any { return new([]dram.RowAddr) }}
+
+// runRows executes one group of a plan: the stream indices idx in
+// ascending order, each one row of st's operations, stopping at the first
+// failing row (the prefix semantics internal/exec documents).  Its result
+// carries the unwrapped error and the failing stream index, the rows
+// completed, and the latest completion time bookRow returned.  A run of
+// consecutive same-opcode bulk rows on one bank goes to the fused dispatch
+// once; if it declines, each of those rows runs on its own.
+func (s *System) runRows(idx []int, ss *obs.ShardSet, st rowBooker) exec.GroupResult {
+	res := exec.GroupResult{ErrRow: -1}
+	ecc := s.cfg.Reliability.ECC
+	bp := rowAddrPool.Get().(*[]dram.RowAddr)
+	buf := *bp
+	offered := 0 // idx[:offered] has been offered to the fused dispatch
+	for k := 0; k < len(idx); k++ {
+		i := idx[k]
+		o, row := st.at(i)
+		addr := o.itemRows()[row]
+		if o.kind == opBulk && !ecc && k >= offered {
+			tp := trainPool.Get().(*[]controller.RowTrain)
+			trains := (*tp)[:0]
+			j := k
+			for ; j < len(idx); j++ {
+				n, nr := st.at(idx[j])
+				if n.kind != opBulk || n.op != o.op || n.dst.rows[nr].Bank != addr.Bank {
+					break
+				}
+				trains = append(trains, n.train(nr))
+			}
+			lat, ok := s.ctrl.ExecuteOpRowsFused(o.op, addr.Bank, trains)
+			*tp = trains[:0]
+			trainPool.Put(tp)
+			if ok {
+				for _, ii := range idx[k:j] {
+					res.Completed++
+					res.EndNS = max(res.EndNS, st.bookRow(ii, addr.Bank, lat))
+				}
+				k = j - 1
+				continue
+			}
+			offered = j
+		}
+		ss.SetRow(addr.Bank, i)
+		var lat float64
+		var err error
+		switch o.kind {
+		case opBulk:
+			t := o.train(row)
+			if ecc {
+				var rr controller.RowResult
+				rr, err = s.execRowReliable(o.op, addr, t.DI, t.DJ)
+				st.bookReliable(i, addr, rr)
+				lat = rr.LatencyNS
+			} else {
+				lat, err = s.ctrl.ExecuteOp(o.op, addr.Bank, t.Sub, t.DK, t.DI, t.DJ)
+			}
+		case opCopy:
+			_, lat, err = s.rc.Copy(o.a.rows[row], addr)
+		case opFill:
+			if o.fill {
+				lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
+			} else {
+				lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
+			}
+		case opFunc:
+			n := o.fn.c.NumInputs + o.fn.c.NumOutputs
+			if cap(buf) < n {
+				buf = make([]dram.RowAddr, n)
+			}
+			buf = buf[:n]
+			fillFuncRow(o.fn, o.dsts, o.srcs, row, buf)
+			lat, err = s.ctrl.ExecuteTrain(o.fn.c.Train, addr.Bank, addr.Subarray, buf)
+		case opMaj:
+			buf = buf[:0]
+			for _, v := range o.srcs {
+				buf = append(buf, v.rows[row].Row)
+			}
+			lat, err = s.ctrl.ExecuteMaj(addr.Bank, addr.Subarray, addr.Row, buf, s.majScratchBase, s.majW)
+		case opPopcount:
+			// A CPU-side read: it books no train time (lat stays 0).
+			var pc int64
+			pc, err = s.dev.PopcountRow(addr)
+			o.result.n.Add(pc)
+		}
+		if err != nil {
+			res.Err, res.ErrRow = err, i
+			break
+		}
+		res.Completed++
+		res.EndNS = max(res.EndNS, st.bookRow(i, addr.Bank, lat))
+	}
+	*bp = buf[:0]
+	rowAddrPool.Put(bp)
+	return res
+}
+
+// opRunner executes one direct operation's bank groups: the stream index is
+// the operation's row.  Fields are populated by the dispatching operation
+// and cleared on release; the zero start time of a pooled runner is never
+// observed because every dispatch overwrites it.
 type opRunner struct {
+	opRecord
 	s     *System
-	kind  runnerKind
-	op    controller.Op
-	dst   *Bitvector
-	a, b  *Bitvector
-	srcs  []*Bitvector // maj sources / func inputs (runner-owned copies)
-	dsts  []*Bitvector // func outputs (runner-owned copy)
-	f     *Func
-	fill  bool
-	ecc   bool
+	tag   Tag
 	start float64
 	ss    *obs.ShardSet
-	tag   Tag
 }
 
 var opRunnerPool = sync.Pool{New: func() any { return new(opRunner) }}
 
 // getOpRunner checks a runner out of the pool for one operation.
-func getOpRunner(s *System, kind runnerKind, tag Tag) *opRunner {
+func getOpRunner(s *System, kind opKind, tag Tag) *opRunner {
 	r := opRunnerPool.Get().(*opRunner)
 	r.s, r.kind, r.tag = s, kind, tag
 	return r
@@ -72,37 +328,47 @@ func getOpRunner(s *System, kind runnerKind, tag Tag) *opRunner {
 func putOpRunner(r *opRunner) {
 	clear(r.dsts)
 	clear(r.srcs)
-	*r = opRunner{dsts: r.dsts[:0], srcs: r.srcs[:0]}
+	*r = opRunner{opRecord: opRecord{dsts: r.dsts[:0], srcs: r.srcs[:0]}}
 	opRunnerPool.Put(r)
 }
 
-// trainPool recycles the per-group RowTrain scratch of the multi-row fused
-// dispatch.
-var trainPool = sync.Pool{New: func() any { return new([]controller.RowTrain) }}
+// RunGroup executes one bank group of the operation (exec.GroupRunner).
+func (r *opRunner) RunGroup(_ int, rows []int) exec.GroupResult {
+	return r.s.runRows(rows, r.ss, r)
+}
 
-// rowAddrPool recycles the per-group operand-address scratch of maj and
-// compiled-func groups.
-var rowAddrPool = sync.Pool{New: func() any { return new([]dram.RowAddr) }}
+func (r *opRunner) at(i int) (*opRecord, int) { return &r.opRecord, i }
 
-// dispatch runs one direct operation: the coherence charge for
-// coherenceRows, then plan's bank groups, each bank's trains on one worker of
-// the execution engine under its shard lock, with command events captured
-// per bank and merged into row order (obs.ShardSet); then the deterministic
-// merge and the stats commit.  Results, Stats and trace bytes are the same
-// at every worker count.  rows is the operation's row count, for its span.
-// run carries the operands, the kind and the tag; dispatch returns it and
-// the plan to their pools.  The caller has validated the operands and holds
+// bookRow reserves the row's bank from the operation's start.
+func (r *opRunner) bookRow(_, bank int, lat float64) float64 {
+	return r.s.reserveRow(r.tag, bank, r.start, lat)
+}
+
+// bookReliable folds the row's TMR outcome into the stats at once.
+func (r *opRunner) bookReliable(_ int, addr dram.PhysAddr, rr controller.RowResult) {
+	r.s.statsMu.Lock()
+	r.s.accountReliabilityLocked(r.tag, addr, rr)
+	r.s.statsMu.Unlock()
+}
+
+// dispatch runs one direct operation: the coherence charge, then plan's bank
+// groups, each bank's trains on one worker of the execution engine under its
+// shard lock, with command events captured per bank and merged into row
+// order (obs.ShardSet); then the deterministic merge and the stats commit.
+// Results, Stats and trace bytes are the same at every worker count.  run
+// carries the operands, the kind and the tag; dispatch returns it and the
+// plan to their pools.  The caller has validated the operands and holds
 // execMu: for reading with a PlanAddrs plan, exclusively with a PlanStream
 // plan (whose single bankless group runs on this goroutine).
 //
 // Per-bank prefix semantics: a failing bank stops at its failing row, other
 // banks complete theirs, and the clock and row counters account what ran.
-func (s *System) dispatch(run *opRunner, plan *exec.Plan, rows int, coherenceRows int64) error {
+func (s *System) dispatch(run *opRunner, plan *exec.Plan) error {
 	tag := run.tag
 	observing := s.observing()
 	var fmEvents, fmBits int64
 	var fmAttr bool
-	if run.kind == runMaj {
+	if run.kind == opMaj {
 		fmEvents, fmBits, fmAttr = s.majFaultsBefore(tag)
 	}
 	var devBefore dram.Stats
@@ -111,7 +377,7 @@ func (s *System) dispatch(run *opRunner, plan *exec.Plan, rows int, coherenceRow
 		devBefore = s.dev.Stats()
 	}
 	opStart := s.stats.ElapsedNS
-	start := opStart + s.coherenceNS(coherenceRows)
+	start := opStart + s.coherenceNS(run.coherenceRows())
 	s.statsMu.Unlock()
 
 	banks := plan.Banks()
@@ -127,27 +393,9 @@ func (s *System) dispatch(run *opRunner, plan *exec.Plan, rows int, coherenceRow
 	if end > s.stats.ElapsedNS {
 		s.stats.ElapsedNS = end
 	}
-	switch run.kind {
-	case runCopy, runFill:
-		s.stats.Copies += int64(res.Completed)
-	default:
-		s.stats.RowOps += int64(res.Completed)
-	}
-	if res.Err == nil {
-		switch run.kind {
-		case runBulk:
-			s.stats.BulkOps[run.op]++
-		case runFunc:
-			s.stats.FuncOps++
-		case runMaj:
-			s.stats.MajOps++
-		}
-	} else if run.kind == runBulk && errors.Is(res.Err, ErrUncorrectable) {
-		s.stats.UncorrectableRows++
-		if m := s.cfg.Metrics; m != nil {
-			m.Add("uncorrectable_rows", 1)
-		}
-		s.addLabeledNS(tag, "uncorrectable_rows", 1)
+	s.countOpLocked(&run.opRecord, res.Completed, res.Err == nil)
+	if errors.Is(res.Err, ErrUncorrectable) {
+		s.countUncorrectableLocked(tag)
 	}
 	s.statsMu.Unlock()
 	if fmAttr {
@@ -155,216 +403,11 @@ func (s *System) dispatch(run *opRunner, plan *exec.Plan, rows int, coherenceRow
 	}
 
 	var err error
-	switch {
-	case res.Err == nil:
-		if observing {
-			s.observeOp(tag, run.spanName(), -1, rows, opStart, end-opStart, devBefore)
-		}
-	case run.kind == runBulk:
-		err = fmt.Errorf("ambit: %v row %d: %w", run.op, res.ErrRow, res.Err)
-	case run.kind == runCopy:
-		err = fmt.Errorf("ambit: Copy row %d: %w", res.ErrRow, res.Err)
-	case run.kind == runFill:
-		err = fmt.Errorf("ambit: Fill: %w", res.Err)
-	case run.kind == runFunc:
-		err = fmt.Errorf("ambit: func %s row %d: %w", run.f.name, res.ErrRow, res.Err)
-	default:
-		err = fmt.Errorf("ambit: Maj row %d: %w", res.ErrRow, res.Err)
+	if res.Err != nil {
+		err = fmt.Errorf("ambit: %s row %d: %w", run.label(), res.ErrRow, res.Err)
+	} else if observing {
+		s.observeOp(tag, run.spanName(), -1, run.rows(), opStart, end-opStart, devBefore)
 	}
 	putOpRunner(run)
 	return err
-}
-
-// spanName is the operation's metric and span label.
-func (r *opRunner) spanName() string {
-	switch r.kind {
-	case runBulk:
-		return r.op.String()
-	case runCopy:
-		return "copy"
-	case runFill:
-		return "fill"
-	case runFunc:
-		return "func:" + r.f.name
-	default:
-		return "maj"
-	}
-}
-
-// RunGroup executes one bank group with the prefix/merge semantics
-// internal/exec documents: rows in ascending order, stop at the first
-// failing row, EndNS = max completion time of completed rows.
-func (r *opRunner) RunGroup(bank int, rows []int) exec.GroupResult {
-	switch r.kind {
-	case runBulk:
-		return r.runBulkGroup(bank, rows)
-	case runCopy:
-		return r.runCopyGroup(bank, rows)
-	case runFill:
-		return r.runFillGroup(bank, rows)
-	case runFunc:
-		return r.runFuncGroup(bank, rows)
-	default:
-		return r.runMajGroup(bank, rows)
-	}
-}
-
-// finishRow books one completed row's train of latency lat on bank: it
-// reserves the bank's timeline from the operation's start, records the busy
-// interval for the utilization collector, and folds the row into res.
-func (r *opRunner) finishRow(res *exec.GroupResult, bank int, lat float64) {
-	done := r.s.dev.Bank(bank).Reserve(r.start, lat)
-	r.s.utilRecord(r.tag, bank, done, lat)
-	res.Completed++
-	res.EndNS = max(res.EndNS, done)
-}
-
-// runBulkGroup runs one bank group of a bulk bitwise op.  Untraced,
-// non-ECC groups take the multi-row fused path; everything else (and any
-// group the fused dispatch rejects) falls back to the row-at-a-time body,
-// which owns error reporting and traced event emission.
-func (r *opRunner) runBulkGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
-	op := r.op
-	unary := op.Unary()
-	if !r.ecc && r.ss == nil {
-		tp := trainPool.Get().(*[]controller.RowTrain)
-		trains := (*tp)[:0]
-		for _, row := range rows {
-			da := r.dst.rows[row]
-			t := controller.RowTrain{Sub: da.Subarray, DK: da.Row, DI: r.a.rows[row].Row}
-			if !unary {
-				t.DJ = r.b.rows[row].Row
-			}
-			trains = append(trains, t)
-		}
-		lat, ok := s.ctrl.ExecuteOpRowsFused(op, bank, trains)
-		*tp = trains[:0]
-		trainPool.Put(tp)
-		if ok {
-			for range rows {
-				r.finishRow(&res, bank, lat)
-			}
-			return res
-		}
-	}
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		da, aa := r.dst.rows[row], r.a.rows[row]
-		var ba dram.RowAddr
-		if !unary {
-			ba = r.b.rows[row].Row
-		}
-		var lat float64
-		var err error
-		if r.ecc {
-			var rr controller.RowResult
-			rr, err = s.execRowReliable(op, da, aa.Row, ba)
-			s.statsMu.Lock()
-			s.accountReliabilityLocked(r.tag, da, rr)
-			s.statsMu.Unlock()
-			lat = rr.LatencyNS
-		} else {
-			lat, err = s.ctrl.ExecuteOp(op, da.Bank, da.Subarray, da.Row, aa.Row, ba)
-		}
-		if err != nil {
-			res.Err, res.ErrRow = err, row
-			return res
-		}
-		r.finishRow(&res, da.Bank, lat)
-	}
-	return res
-}
-
-// runCopyGroup runs one bank group of a RowClone copy (src in r.a).  A
-// PlanStream group (bank -1) books each row on its destination's bank.
-func (r *opRunner) runCopyGroup(bank int, rows []int) exec.GroupResult {
-	res := exec.GroupResult{ErrRow: -1}
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		_, lat, err := r.s.rc.Copy(r.a.rows[row], r.dst.rows[row])
-		if err != nil {
-			res.Err, res.ErrRow = err, row
-			return res
-		}
-		r.finishRow(&res, r.dst.rows[row].Bank, lat)
-	}
-	return res
-}
-
-// runFillGroup runs one bank group of a control-row Fill.
-func (r *opRunner) runFillGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		addr := r.dst.rows[row]
-		var lat float64
-		var err error
-		if r.fill {
-			lat, err = s.rc.InitOne(addr.Bank, addr.Subarray, addr.Row)
-		} else {
-			lat, err = s.rc.InitZero(addr.Bank, addr.Subarray, addr.Row)
-		}
-		if err != nil {
-			res.Err, res.ErrRow = err, row
-			return res
-		}
-		r.finishRow(&res, addr.Bank, lat)
-	}
-	return res
-}
-
-// runFuncGroup runs one bank group of a compiled function, reusing one
-// pooled operand buffer for the whole group.
-func (r *opRunner) runFuncGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
-	nOps := r.f.c.NumInputs + r.f.c.NumOutputs
-	bp := rowAddrPool.Get().(*[]dram.RowAddr)
-	buf := *bp
-	if cap(buf) < nOps {
-		buf = make([]dram.RowAddr, nOps)
-	}
-	buf = buf[:nOps]
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		da := fillFuncRow(r.f, r.dsts, r.srcs, row, buf)
-		lat, err := s.ctrl.ExecuteTrain(r.f.c.Train, da.Bank, da.Subarray, buf)
-		if err != nil {
-			res.Err, res.ErrRow = err, row
-			break
-		}
-		r.finishRow(&res, da.Bank, lat)
-	}
-	*bp = buf
-	rowAddrPool.Put(bp)
-	return res
-}
-
-// runMajGroup runs one bank group of a many-row majority, reusing one
-// pooled source-address buffer for the whole group.
-func (r *opRunner) runMajGroup(bank int, rows []int) exec.GroupResult {
-	s := r.s
-	res := exec.GroupResult{ErrRow: -1}
-	bp := rowAddrPool.Get().(*[]dram.RowAddr)
-	srcRows := (*bp)[:0]
-	for _, row := range rows {
-		r.ss.SetRow(bank, row)
-		da := r.dst.rows[row]
-		srcRows = srcRows[:0] // keep any growth for the next row
-		for _, a := range r.srcs {
-			srcRows = append(srcRows, a.rows[row].Row)
-		}
-		lat, err := s.ctrl.ExecuteMaj(da.Bank, da.Subarray, da.Row, srcRows, s.majScratchBase, s.majW)
-		if err != nil {
-			res.Err, res.ErrRow = err, row
-			break
-		}
-		r.finishRow(&res, da.Bank, lat)
-	}
-	*bp = srcRows[:0]
-	rowAddrPool.Put(bp)
-	return res
 }
