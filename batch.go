@@ -3,6 +3,7 @@ package ambit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ambit/internal/controller"
@@ -196,12 +197,14 @@ func (b *Batch) Fill(v *Bitvector, bit bool) error {
 // Call records dsts... = f(srcs...) for a compiled function (System.Compile).
 // Dependencies against other recorded operations follow from the operand row
 // sets, so chained calls — one function's outputs feeding another's inputs —
-// order correctly while independent calls overlap across banks.
+// order correctly while independent calls overlap across banks.  The batch
+// keeps its own copies of dsts and srcs, so editing them after Call cannot
+// bypass the checks made here.
 func (b *Batch) Call(f *Func, dsts []*Bitvector, srcs ...*Bitvector) error {
 	if f == nil {
 		return fmt.Errorf("ambit: Batch.Call: nil function")
 	}
-	return b.record(opRecord{kind: opFunc, fn: f, dsts: dsts, srcs: srcs})
+	return b.record(opRecord{kind: opFunc, fn: f, dsts: slices.Clone(dsts), srcs: slices.Clone(srcs)})
 }
 
 // Popcount records a CPU-side population count of v.  The returned

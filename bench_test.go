@@ -308,8 +308,8 @@ func BenchmarkFunctionalBulkOps(b *testing.B) {
 // operation types and row counts.  The allocator spreads consecutive rows
 // across banks, so rows >= 8 exercises every bank of the default geometry:
 // the per-bank sharded dispatch and the compiled command-train cache both
-// show up here (wall-clock and allocs/op; `ambitbench -json` captures the
-// same grid into the committed BENCH_*.json trajectory).
+// show up here (wall-clock and allocs/op).  BenchmarkFuncRun covers the
+// compiled-function row and BenchmarkHostIO the host data paths.
 func BenchmarkDirectOps(b *testing.B) {
 	for _, rows := range []int{1, 8, 64} {
 		for _, op := range []controller.Op{controller.OpAnd, controller.OpOr, controller.OpNot, controller.OpXor} {
@@ -345,6 +345,55 @@ func BenchmarkDirectOps(b *testing.B) {
 	}
 }
 
+// BenchmarkHostIO measures moving a vector between the host and the
+// simulated device over the costed channel: the staged paths (ReadInto,
+// Write) against their zero-copy view counterparts (ViewWords, SetWords), on
+// 8- and 64-row vectors.
+func BenchmarkHostIO(b *testing.B) {
+	for _, rows := range []int{8, 64} {
+		for _, path := range []string{"readinto", "write", "viewwords", "setwords"} {
+			b.Run(fmt.Sprintf("%s-rows%d", path, rows), func(b *testing.B) {
+				sys, err := New()
+				if err != nil {
+					b.Fatal(err)
+				}
+				bits := int64(rows) * int64(sys.RowSizeBits())
+				x := sys.MustAlloc(bits)
+				rng := rand.New(rand.NewSource(1))
+				words := make([]uint64, x.WordCount())
+				for i := range words {
+					words[i] = rng.Uint64()
+				}
+				if err := x.Write(words, Backdoor()); err != nil {
+					b.Fatal(err)
+				}
+				viewed := 0
+				op := map[string]func() error{
+					"readinto": func() error { _, err := x.ReadInto(words); return err },
+					"write":    func() error { return x.Write(words) },
+					"viewwords": func() error {
+						return x.ViewWords(func(views [][]uint64) error {
+							for _, row := range views {
+								viewed += len(row)
+							}
+							return nil
+						})
+					},
+					"setwords": func() error { _, err := x.SetWords(words); return err },
+				}[path]
+				b.SetBytes(bits / 8)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := op(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkFaultedDirectOps measures the direct op API under an armed fault
 // model, at the perfbench faulted-ecc configuration: the vendorB-25C profile
 // at 1/1000 of its rates, TMR ECC with up to 3 retries and MAJ-5, on 8-row
@@ -353,18 +402,7 @@ func BenchmarkDirectOps(b *testing.B) {
 func BenchmarkFaultedDirectOps(b *testing.B) {
 	for _, name := range []string{"And", "XorInPlace", "Maj", "Query"} {
 		b.Run(name, func(b *testing.B) {
-			profile, ok := FaultProfileByName("vendorB-25C")
-			if !ok {
-				b.Fatal("builtin vendorB-25C missing")
-			}
-			profile.Base.Seed = 1
-			profile.Base.TRABitRate *= 1e-3
-			profile.Base.TRARowRate *= 1e-3
-			profile.Base.DCCBitRate *= 1e-3
-			sys, err := New(WithFaultProfile(profile), WithReliability(Reliability{ECC: true, MaxRetries: 3}), WithManyRowMaj(5))
-			if err != nil {
-				b.Fatal(err)
-			}
+			sys := faultedECCSystem(b, 1)
 			bits := 8 * int64(sys.RowSizeBits())
 			var v [7]*Bitvector
 			rng := rand.New(rand.NewSource(1))

@@ -23,6 +23,10 @@
 //   - every Go file those files cite (a backticked `….go`) must exist: a
 //     path containing `/` resolves from the repository root, and a bare
 //     name must be the name of some .go file in the repository.
+//   - every `-flag` that follows `go run ./cmd/<tool>` on a line of those
+//     files or of the CI workflow (a line ending in `\` continues onto the
+//     next) must be declared in cmd/<tool>'s non-test sources: a command
+//     the docs teach must still parse.
 //
 // Usage:
 //
@@ -39,6 +43,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,7 +52,8 @@ import (
 // checked.  Missing files are themselves violations.
 var markdownFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
-// ciWorkflow is the CI workflow whose -run patterns must name real tests.
+// ciWorkflow is the CI workflow whose -run patterns must name real tests and
+// whose tool command lines must use declared flags.
 const ciWorkflow = ".github/workflows/ci.yml"
 
 func main() {
@@ -63,6 +69,7 @@ func main() {
 	violations = append(violations, checkArchitectureTree("README.md", "internal")...)
 	violations = append(violations, checkTestNames(".", markdownFiles, ciWorkflow)...)
 	violations = append(violations, checkGoFiles(".", markdownFiles)...)
+	violations = append(violations, checkToolFlags(".", append(slices.Clone(markdownFiles), ciWorkflow))...)
 
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -413,6 +420,80 @@ func checkGoFiles(root string, docs []string) []string {
 			if !found && !reported[cited] {
 				reported[cited] = true
 				out = append(out, fmt.Sprintf("%s: cites %s, which does not exist", md, cited))
+			}
+		}
+	}
+	return out
+}
+
+var (
+	// toolRunRe matches `go run ./cmd/<tool>` and the rest of its command
+	// line, which ends at a closing backtick, a shell operator or a comment.
+	toolRunRe = regexp.MustCompile("go run \\./cmd/([A-Za-z0-9_-]+)([^`|&;<>#\n]*)")
+	// flagArgRe matches a -flag or --flag argument, capturing its name.
+	flagArgRe = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][A-Za-z0-9_-]*)`)
+	// flagDeclRe matches a flag declared through the flag package or a
+	// FlagSet, capturing its name: flag.Bool("list", …) or
+	// fs.StringVar(&out, "out", …).
+	flagDeclRe = regexp.MustCompile(`\.(?:(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(?:Var)?|BoolFunc|Func|TextVar|Var)\((?:[^,()"]+,\s*)?"([^"]+)"`)
+)
+
+// declaredFlags returns the flag names the non-test .go files in dir declare.
+func declaredFlags(dir string) (map[string]bool, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err == nil && len(paths) == 0 {
+		err = fmt.Errorf("%s has no Go sources", dir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	flags := map[string]bool{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range flagDeclRe.FindAllSubmatch(data, -1) {
+			flags[string(m[1])] = true
+		}
+	}
+	return flags, nil
+}
+
+// checkToolFlags reports every flag that a `go run ./cmd/<tool>` command
+// line in files passes and cmd/<tool> under root does not declare.
+func checkToolFlags(root string, files []string) []string {
+	tools := map[string]map[string]bool{} // tool -> declared flags, nil if unreadable
+	var out []string
+	for _, file := range files {
+		data, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", file, err))
+			continue
+		}
+		text := strings.ReplaceAll(string(data), "\\\n", " ")
+		reported := map[string]bool{}
+		for _, m := range toolRunRe.FindAllStringSubmatch(text, -1) {
+			tool := m[1]
+			flags, seen := tools[tool]
+			if !seen {
+				flags, err = declaredFlags(filepath.Join(root, "cmd", tool))
+				if err != nil {
+					out = append(out, fmt.Sprintf("%s: cites go run ./cmd/%s: %v", file, tool, err))
+				}
+				tools[tool] = flags
+			}
+			if flags == nil {
+				continue
+			}
+			for _, f := range flagArgRe.FindAllStringSubmatch(m[2], -1) {
+				if cited := tool + " -" + f[1]; !flags[f[1]] && !reported[cited] {
+					reported[cited] = true
+					out = append(out, fmt.Sprintf("%s: cites %s, which cmd/%s does not declare", file, cited, tool))
+				}
 			}
 		}
 	}

@@ -110,3 +110,53 @@ func TestCheckGoFiles(t *testing.T) {
 		t.Errorf("violations = %q, want %q", got, want)
 	}
 }
+
+// TestCheckToolFlags: every -flag or --flag on a `go run ./cmd/<tool>`
+// command line must be declared in the tool's non-test sources, through a
+// flag function or a FlagSet method.  The command line continues past a
+// trailing backslash and ends at a closing backtick, a shell operator or a
+// comment; each undeclared flag is reported once per file.
+func TestCheckToolFlags(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, text string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("cmd/tool/main.go", "package main\n\nimport \"flag\"\n\nvar out string\n\nfunc main() {\n"+
+		"\tlist := flag.Bool(\"list\", false, \"\")\n\tfs := flag.NewFlagSet(\"tool\", flag.ExitOnError)\n"+
+		"\tfs.StringVar(&out, \"out\", \"\", \"\")\n\t_ = list\n}\n")
+	write("cmd/tool/main_test.go", "package main\n\nimport \"flag\"\n\nvar testOnly = flag.Bool(\"testonly\", false, \"\")\n")
+	write("cmd/bare/main.go", "package main\n\nfunc main() {}\n")
+	for _, tc := range []struct {
+		name, text string
+		want       []string
+	}{
+		{"declared", "```\ngo run ./cmd/tool -list --out=x.json fig9\ngo run ./cmd/bare\n```\n", nil},
+		{"undeclared",
+			"Run `go run ./cmd/tool -json a.json -list` or `go run ./cmd/tool -json b.json`, then `go run ./cmd/bare -v`.\n",
+			[]string{
+				"doc.md: cites tool -json, which cmd/tool does not declare",
+				"doc.md: cites bare -v, which cmd/bare does not declare",
+			}},
+		{"test-only flag", "go run ./cmd/tool -testonly\n",
+			[]string{"doc.md: cites tool -testonly, which cmd/tool does not declare"}},
+		{"continued line", "go run ./cmd/tool -list \\\n  -compare old.json new.json\n-threshold 25\n",
+			[]string{"doc.md: cites tool -compare, which cmd/tool does not declare"}},
+		{"command line ends", "go run ./cmd/tool -list 2>&1 | grep -v x; go run ./cmd/tool -out o # -json -v\n", nil},
+		{"missing tool", "go run ./cmd/gone -x\n",
+			[]string{"doc.md: cites go run ./cmd/gone: " + filepath.Join(dir, "cmd", "gone") + " has no Go sources"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			write("doc.md", tc.text)
+			if got := checkToolFlags(dir, []string{"doc.md"}); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("violations = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}

@@ -358,6 +358,73 @@ func TestBatchCall(t *testing.T) {
 	}
 }
 
+// TestBatchCallKeepsRecordedOperands: Call validates its operand lists at
+// record time and the batch runs the lists it validated.  Swapping a short
+// source or a source-aliasing destination into the caller's slices after
+// Call must not reach Run.  One exec worker keeps every row on the test
+// goroutine, so a panic from a shortened vector is recovered here.
+func TestBatchCallKeepsRecordedOperands(t *testing.T) {
+	sys := compileTestSystem(t, WithExecWorkers(1))
+	rowBits := int64(sys.RowSizeBits())
+	bits := 4 * rowBits
+	xor2, err := sys.Compile("xor2", Xor(Var(0), Var(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	load := func() (*Bitvector, []uint64) {
+		v := sys.MustAlloc(bits)
+		w := make([]uint64, v.WordCount())
+		for i := range w {
+			w[i] = rng.Uint64()
+		}
+		if err := v.Write(w, Backdoor()); err != nil {
+			t.Fatal(err)
+		}
+		return v, w
+	}
+	x, wx := load()
+	y, wy := load()
+	d := sys.MustAlloc(bits)
+	short := sys.MustAlloc(2 * rowBits)
+
+	batch := sys.NewBatch()
+	dsts, srcs := []*Bitvector{d}, []*Bitvector{x, y}
+	if err := batch.Call(xor2, dsts, srcs...); err != nil {
+		t.Fatal(err)
+	}
+	srcs[1] = short
+	dsts[0] = x
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("Run panicked on operand lists edited after Call: %v", r)
+			}
+		}()
+		if _, err := batch.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}()
+	for _, c := range []struct {
+		name string
+		v    *Bitvector
+		want func(i int) uint64
+	}{
+		{"recorded destination", d, func(i int) uint64 { return wx[i] ^ wy[i] }},
+		{"source", x, func(i int) uint64 { return wx[i] }},
+	} {
+		got, err := c.v.Read(Backdoor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if want := c.want(i); got[i] != want {
+				t.Fatalf("%s word %d: %016x, want %016x", c.name, i, got[i], want)
+			}
+		}
+	}
+}
+
 // TestPopcountVertical checks the in-DRAM carry-save popcount: per-lane
 // counts across n vectors against native Go counting, plus the scaffolding
 // accounting (temporaries freed, only count bits surviving).

@@ -2,6 +2,8 @@ package ambit
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -443,5 +445,88 @@ func TestScratchRowsWithheld(t *testing.T) {
 	slots := cfg.Geometry.Banks * cfg.Geometry.SubarraysPerBank
 	if want := plain.FreeRows() - 2*slots; ecc.FreeRows() != want {
 		t.Fatalf("FreeRows with ECC = %d, want %d (2 scratch rows per slot withheld)", ecc.FreeRows(), want)
+	}
+}
+
+// faultedECCSystem builds perfbench's faulted-ecc configuration: the
+// vendorB-25C profile at 1/1000 of its rates, drawing its fault universe from
+// seed, with TMR ECC, up to 3 retries and MAJ-5.
+func faultedECCSystem(tb testing.TB, seed int64) *System {
+	tb.Helper()
+	profile, ok := FaultProfileByName("vendorB-25C")
+	if !ok {
+		tb.Fatal("builtin vendorB-25C missing")
+	}
+	profile.Base.Seed = seed
+	profile.Base.TRABitRate *= 1e-3
+	profile.Base.TRARowRate *= 1e-3
+	profile.Base.DCCBitRate *= 1e-3
+	sys, err := New(WithFaultProfile(profile), WithReliability(Reliability{ECC: true, MaxRetries: 3}), WithManyRowMaj(5))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+// TestFaultedECCQueryAnswers runs perfbench's faulted-ecc query at that
+// workload's configuration on 8-row vectors: And, an in-place Xor, a 3-input
+// Maj and two popcounts over a pool of 6 random inputs.  And and Xor run
+// under TMR, so every op must return nil and every popcount of their result
+// must equal the word-level reference; Maj runs outside TMR, so its count is
+// not checked.  At 1/1000 of the profile's rates a silent miscorrection is
+// expected about once in 10^7 queries.  The test says nothing about the
+// shipped rates.
+func TestFaultedECCQueryAnswers(t *testing.T) {
+	queries := 2048
+	if raceEnabled {
+		queries = 256
+	}
+	const inputs = 6
+	for _, seed := range []int64{303, 1} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			sys := faultedECCSystem(t, seed)
+			n := 8 * int64(sys.RowSizeBits())
+			rng := rand.New(rand.NewSource(seed))
+			var in [inputs]*Bitvector
+			var words [inputs][]uint64
+			for i := range in {
+				in[i] = sys.MustAlloc(n)
+				words[i] = make([]uint64, in[i].WordCount())
+				for j := range words[i] {
+					words[i][j] = rng.Uint64()
+				}
+				if err := in[i].Write(words[i], Backdoor()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, m := sys.MustAlloc(n), sys.MustAlloc(n)
+			for q := 0; q < queries; q++ {
+				a, b, c, x := rng.Intn(inputs), rng.Intn(inputs), rng.Intn(inputs), rng.Intn(inputs)
+				y := (x + 1 + rng.Intn(inputs-1)) % inputs // Maj sources are distinct
+				var want int64
+				for j := range words[a] {
+					want += int64(bits.OnesCount64(words[a][j]&words[b][j] ^ words[c][j]))
+				}
+				if err := sys.And(res, in[a], in[b]); err != nil {
+					t.Fatalf("query %d: And: %v", q, err)
+				}
+				if err := sys.Xor(res, res, in[c]); err != nil {
+					t.Fatalf("query %d: Xor: %v", q, err)
+				}
+				if err := sys.Maj(m, res, in[x], in[y]); err != nil {
+					t.Fatalf("query %d: Maj: %v", q, err)
+				}
+				got, err := sys.Popcount(res)
+				if err != nil || got != want {
+					t.Fatalf("query %d: Popcount(a&b^c) = %d, %v; want %d, nil", q, got, err, want)
+				}
+				if _, err := sys.Popcount(m); err != nil {
+					t.Fatalf("query %d: Popcount(maj): %v", q, err)
+				}
+			}
+			if st := sys.Stats(); st.InjectedFaults == 0 || st.CorrectedBits == 0 {
+				t.Errorf("InjectedFaults = %d, CorrectedBits = %d over %d queries; want both nonzero", st.InjectedFaults, st.CorrectedBits, queries)
+			}
+		})
 	}
 }
