@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"ambit/internal/controller"
 )
 
 // allocsSystem builds a System from opts with three seeded 8-row vectors and
@@ -105,6 +107,18 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		reg.LabeledHistogram("svc_wall_ns", WallBucketsNS, ns).Observe(1e6)
 	}
 	labSys, la, lb, lc := allocsSystem(t, WithMetrics(reg))
+	// Tagged ops on a faulted ECC System with a registry attached commit
+	// into their tenant's ledger, which the registry renders only when
+	// scraped.
+	tagSys, ta, tb, tc := allocsSystem(t, WithFaultModel(FaultConfig{TRABitRate: 1e-4, DCCBitRate: 1e-4, Seed: 3}),
+		WithReliability(Reliability{ECC: true, MaxRetries: 3}), WithManyRowMaj(5), WithMetrics(NewMetrics()))
+	tagged := tagSys.Tagged(Tag{NS: "tenant-a", Req: "req-1"})
+	tout := tagSys.MustAlloc(tc.Len())
+	for i := 0; i < 50; i++ {
+		if err := tagged.Maj(tout, ta, tb, tc); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name string
 		call func() error
@@ -124,6 +138,8 @@ func TestDirectOpSteadyStateAllocs(t *testing.T) {
 		{"FaultedMaj", func() error { return faultSys.Maj(fout, fa, fb, fc) }},
 		{"DisabledTracerAnd", func() error { return offSys.And(oc, oa, ob) }},
 		{"LabeledRegistryAnd", func() error { return labSys.And(lc, la, lb) }},
+		{"TaggedFaultedECCAnd", func() error { return tagged.Apply(controller.OpAnd, tc, ta, tb) }},
+		{"TaggedMaj", func() error { return tagged.Maj(tout, ta, tb, tc) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -248,19 +248,15 @@ type Config struct {
 	// gate) and leaves Stats byte-identical.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates per-opcode latency and energy
-	// histograms plus reliability counters for every operation this System
-	// executes.  A registry may be shared across Systems.
+	// histograms for every operation this System executes, and renders the
+	// System's reliability counters, System-wide and per tenant, from its
+	// ledger when scraped.  A registry may be shared across Systems.
 	Metrics *obs.Registry
 	// TraceSampling, when > 1, keeps one in TraceSampling op-level span
 	// events and drops the rest — back-pressure relief for sustained
 	// workloads.  Command events are never sampled.  0 or 1 keeps every
 	// span.  Applied to the configured Tracer at construction.
 	TraceSampling int
-	// BankUtil enables the per-bank utilization collector (bank busy-interval
-	// timelines, saturation, and per-tenant busy attribution via
-	// System.TagBusyNS) without a telemetry server.  Implied by
-	// TelemetryAddr.
-	BankUtil bool
 	// TelemetryAddr, when non-empty, starts a live telemetry HTTP server on
 	// the address ("localhost:8612", ":0" for an ephemeral port — see
 	// System.TelemetryAddr) serving /metrics (Prometheus text), /healthz,
@@ -305,10 +301,8 @@ type System struct {
 	// mu guards the allocator state below (nextRow, freeRows).
 	mu sync.Mutex
 
-	// statsMu guards stats, faultScore, and quarantined against concurrent
-	// parallel operations (exclusive execMu holders may skip it: no reader
-	// or writer can run concurrently with them).
-	statsMu sync.Mutex
+	// ledger holds stats, the tenant ledgers and statsMu (stats.go).
+	*ledger
 
 	// Allocator state: nextRow[slot] is the next free D-group row in
 	// each (bank, subarray) slot; vector row r is placed in slot
@@ -366,8 +360,6 @@ type System struct {
 	// reused across batches and cleared after each so it keeps no freed
 	// vector alive.  Batch.Run holds execMu exclusively.
 	frontier map[*Bitvector]vecFrontier
-
-	stats Stats
 }
 
 // rowScratch returns the lazily allocated one-row staging buffer; the caller
@@ -516,6 +508,10 @@ func NewSystem(cfg Config) (*System, error) {
 		quarantined: make(map[dram.PhysAddr]bool),
 		funcCache:   make(map[string]*compile.Compiled),
 		majW:        majW,
+		ledger:      &ledger{banks: g.Banks},
+	}
+	if cfg.Metrics != nil {
+		cfg.Metrics.AddCounterSource(sys.ledger.render)
 	}
 	// Placement ring: every slot, minus the subarrays the profile marks
 	// quarantined — weak silicon is never placed on at all.
@@ -529,10 +525,8 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("ambit: profile %q quarantines every (bank, subarray) slot", cfg.FaultProfile.Name)
 	}
 	sys.majScratchBase = sys.dataRows()
-	if cfg.TelemetryAddr != "" || cfg.BankUtil {
-		sys.util = exec.NewUtil(g.Banks, exec.DefaultUtilBinNS)
-	}
 	if cfg.TelemetryAddr != "" {
+		sys.util = exec.NewUtil(g.Banks, exec.DefaultUtilBinNS)
 		srv, err := telemetry.Serve(cfg.TelemetryAddr, telemetry.Sources{
 			Metrics: cfg.Metrics,
 			Stream:  stream,
@@ -614,18 +608,6 @@ func (s *System) observeOp(tag Tag, name string, bank, rows int, startNS, durNS 
 	}
 }
 
-// utilRecord folds one reserved command-train interval into the bank
-// utilization collector, attributing the busy time to the tag's namespace
-// when one is set.  A System without telemetry has no collector and pays
-// only this nil check.  endNS is the train's completion time on the bank's
-// timeline and durNS its latency, so the busy interval is
-// [endNS-durNS, endNS).
-func (s *System) utilRecord(tag Tag, bank int, endNS, durNS float64) {
-	if s.util != nil {
-		s.util.RecordTagged(tag.NS, bank, endNS-durNS, endNS)
-	}
-}
-
 // Close shuts down the live telemetry server, if Config.TelemetryAddr
 // started one; otherwise it is a no-op.  Idempotent.  The System remains
 // usable for simulation after Close — only the HTTP endpoints go away.
@@ -661,10 +643,9 @@ func (s *System) RegisterHTTP(path, desc string, h http.Handler) error {
 // BankSaturation returns the mean busy fraction of all banks over the
 // trailing windowNS of recorded simulated time — the admission-control
 // signal behind the telemetry server's /banks timelines.  The second result
-// is false when the System has no utilization collector (neither
-// Config.TelemetryAddr nor Config.BankUtil).  A fraction near 1 means the
-// device's banks are back to back
-// with command trains: new work will only queue.
+// is false when the System has no utilization collector (no
+// Config.TelemetryAddr).  A fraction near 1 means the device's banks are
+// back to back with command trains: new work will only queue.
 func (s *System) BankSaturation(windowNS float64) (float64, bool) {
 	if s.util == nil {
 		return 0, false

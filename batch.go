@@ -269,7 +269,9 @@ func (b *Batch) Run() (BatchReport, error) {
 		// (the timing phase never runs), but an exhausted retry budget is
 		// still counted so the failure is visible in the stats.
 		if errors.Is(err, ErrUncorrectable) {
-			s.countUncorrectableLocked(Tag{})
+			s.statsMu.Lock()
+			s.countUncorrectableLocked(nil)
+			s.statsMu.Unlock()
 		}
 		return BatchReport{}, err
 	}
@@ -441,14 +443,19 @@ func (b *Batch) schedule(lats []float64, rels []controller.RowResult) (float64, 
 			s.stats.ChannelBytes += bytes
 		} else {
 			for r, addr := range rows {
-				end = max(end, s.reserveRow(Tag{}, addr.Bank, start, lats[off+r]))
-				if rels != nil { // zero for all but bulk rows: accounts nothing
-					s.accountReliabilityLocked(Tag{}, addr, rels[off+r])
+				end = max(end, s.reserveRow(addr.Bank, start, lats[off+r]))
+			}
+			if rels != nil { // zero for all but bulk rows: accounts nothing
+				// The metrics view reads these counters under statsMu.
+				s.statsMu.Lock()
+				for r, addr := range rows {
+					s.accountReliabilityLocked(nil, addr, rels[off+r])
 				}
+				s.statsMu.Unlock()
 			}
 		}
 		off += len(rows)
-		s.countOpLocked(op, len(rows), true)
+		s.countOpLocked(nil, op, len(rows), true)
 		// Writes are visited first, so an op that updates a vector in place
 		// also stays listed as its reader; that entry repeats the writer's
 		// finish and wave, so it adds no constraint.

@@ -12,10 +12,10 @@
 // The client retries 429 rejections with the server's advised backoff —
 // graceful degradation under overload is expected behaviour, and the
 // rejected/retried count is part of the report.  With -check, ambitload
-// additionally scrapes /metrics and fails unless the run completed with zero
-// hard errors, the service published nonzero sustained qps and p99 latency,
-// and every tenant namespace the run loaded shows nonzero per-tenant
-// ambit_svc_*_total{ns="..."} series.
+// fails unless the run completed with zero hard errors, /v1/stats reports
+// nonzero qps and p99 latency over the server's lifetime, and every tenant
+// namespace the run loaded shows nonzero per-tenant ambit_svc_*_total{ns="..."}
+// series in /metrics.
 package main
 
 import (
@@ -43,7 +43,7 @@ func main() {
 	backdoor := flag.Bool("backdoor", false, "install data via the cost-free backdoor channel")
 	seed := flag.Int64("seed", 1, "data seed")
 	timeout := flag.Duration("timeout", 10*time.Second, "how long to wait for the server to come up")
-	check := flag.Bool("check", false, "smoke-test mode: fail unless the run is clean and /metrics shows nonzero qps and p99")
+	check := flag.Bool("check", false, "smoke-test mode: fail unless the run is clean, /v1/stats shows nonzero qps and p99, and /metrics has every tenant's series")
 	flag.Parse()
 
 	var wl loadgen.Workload
@@ -75,9 +75,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ambitload: first error: %v\n", res.FirstErr)
 	}
 
-	if stats, err := c.ServiceStats(); err == nil {
+	stats, statsErr := c.ServiceStats()
+	qps, p99 := num(stats, "qps"), num(stats, "p99_wall_ns")
+	if statsErr == nil {
 		fmt.Printf("ambitload: /v1/stats: qps=%.1f p50=%.0fns p99=%.0fns bank_saturation=%.3f\n",
-			num(stats, "qps"), num(stats, "p50_wall_ns"), num(stats, "p99_wall_ns"), num(stats, "bank_saturation"))
+			qps, num(stats, "p50_wall_ns"), p99, num(stats, "bank_saturation"))
 	}
 
 	if !*check {
@@ -87,37 +89,23 @@ func main() {
 		return
 	}
 
-	// Smoke-test assertions: clean run, live telemetry.  The qps/p99 gauges
-	// refresh once a second, so give the stats loop a beat to fold the run
-	// in before scraping.
+	// Smoke-test assertions: clean run, live telemetry.  /v1/stats computes
+	// qps and the quantiles from the request histograms when asked, so the
+	// run's requests are already in them.
 	if res.Errors > 0 {
 		fail("check: %d hard errors (first: %v)", res.Errors, res.FirstErr)
 	}
 	if res.Queries == 0 {
 		fail("check: no queries completed")
 	}
-	// qps is a per-second delta: it is nonzero on the first tick after the
-	// run and decays back to zero once the service is idle again, so keep
-	// the maximum seen while polling.
-	var qps, p99 float64
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g, err := c.MetricGauges()
-		if err != nil {
-			fail("check: %v", err)
-		}
-		qps = max(qps, g["ambit_svc_qps"])
-		p99 = max(p99, g["ambit_svc_p99_wall_ns"])
-		if (qps > 0 && p99 > 0) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(200 * time.Millisecond)
+	if statsErr != nil {
+		fail("check: /v1/stats: %v", statsErr)
 	}
 	if qps <= 0 {
-		fail("check: /metrics ambit_svc_qps = %v, want > 0", qps)
+		fail("check: /v1/stats qps = %v, want > 0", qps)
 	}
 	if p99 <= 0 {
-		fail("check: /metrics ambit_svc_p99_wall_ns = %v, want > 0", p99)
+		fail("check: /v1/stats p99_wall_ns = %v, want > 0", p99)
 	}
 	// Per-tenant attribution: every namespace the run loaded must have left
 	// nonzero ns-labeled svc_* series behind (the namespaces themselves are

@@ -15,27 +15,14 @@ import "sync"
 // (a row-wide AND is ~200 ns) without unbounded growth on long runs.
 const DefaultUtilBinNS = 1000.0
 
-// MaxUtilTags caps the per-tag busy-time map: once full, new tags fold into
-// the UtilOverflowTag entry so an unbounded tenant churn cannot grow the
-// collector without bound.
-const MaxUtilTags = 1024
-
-// UtilOverflowTag is the fold-in key for busy time recorded past MaxUtilTags.
-const UtilOverflowTag = "_overflow"
-
 // Util accumulates per-bank busy time in fixed-width simulated-time bins.
 // All methods are safe for concurrent use; Record is called once per
 // row-level command train, far off any per-command hot path.
-//
-// Busy time is additionally attributed per tag (the serving layer's tenant
-// namespace) via RecordTagged, answering "which namespace is burning bank
-// time" — the per-tenant slice of the Figure 10-style utilization story.
 type Util struct {
-	mu      sync.Mutex
-	binNS   float64
-	bins    [][]float64 // [bank][bin] -> busy ns within the bin
-	endNS   float64     // latest interval end seen
-	tagBusy map[string]float64
+	mu    sync.Mutex
+	binNS float64
+	bins  [][]float64 // [bank][bin] -> busy ns within the bin
+	endNS float64     // latest interval end seen
 }
 
 // NewUtil creates a collector for the given bank count; binNS <= 0 selects
@@ -51,27 +38,11 @@ func NewUtil(banks int, binNS float64) *Util {
 // timeline.  Intervals outside the bank range or with non-positive length
 // are ignored.
 func (u *Util) Record(bank int, startNS, endNS float64) {
-	u.RecordTagged("", bank, startNS, endNS)
-}
-
-// RecordTagged is Record with per-tag attribution: the interval's busy time
-// is additionally charged to tag's total (empty tag charges nothing extra).
-// Past MaxUtilTags distinct tags, new tags fold into UtilOverflowTag.
-func (u *Util) RecordTagged(tag string, bank int, startNS, endNS float64) {
 	if u == nil || bank < 0 || bank >= len(u.bins) || !(endNS > startNS) || startNS < 0 {
 		return
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if tag != "" {
-		if u.tagBusy == nil {
-			u.tagBusy = map[string]float64{}
-		}
-		if _, ok := u.tagBusy[tag]; !ok && len(u.tagBusy) >= MaxUtilTags {
-			tag = UtilOverflowTag
-		}
-		u.tagBusy[tag] += endNS - startNS
-	}
 	if endNS > u.endNS {
 		u.endNS = endNS
 	}
@@ -161,31 +132,6 @@ func (u *Util) TailBusyFraction(windowNS float64) float64 {
 		f = 1
 	}
 	return f
-}
-
-// TagBusyNS returns the total busy nanoseconds attributed to tag by
-// RecordTagged (0 for unknown tags).
-func (u *Util) TagBusyNS(tag string) float64 {
-	if u == nil {
-		return 0
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.tagBusy[tag]
-}
-
-// TagBusySnapshot returns a copy of the per-tag busy-time totals.
-func (u *Util) TagBusySnapshot() map[string]float64 {
-	if u == nil {
-		return nil
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	out := make(map[string]float64, len(u.tagBusy))
-	for k, v := range u.tagBusy {
-		out[k] = v
-	}
-	return out
 }
 
 // Snapshot returns the busy-fraction timelines.

@@ -255,8 +255,9 @@ func (r *Registry) AddLabeled(family string, delta int64, labels ...Label) {
 	r.LabeledCounter(family, labels...).Add(delta)
 }
 
-// LabeledCounterValue reads a labeled counter series without creating it
-// (0 if the family or series does not exist).
+// LabeledCounterValue reads a stored labeled counter series without creating
+// it (0 if the family or series does not exist).  It does not read counter
+// sources; WriteTo renders those.
 func (r *Registry) LabeledCounterValue(family string, labels ...Label) int64 {
 	if s := (*r.labeled.Load())[family].lookup(labels); s != nil {
 		return s.c.Value()

@@ -135,9 +135,10 @@ func (h *histogram) snapshot() HistogramSnapshot {
 }
 
 // Registry accumulates per-opcode latency and energy histograms plus named
-// counters (retries, corrected bits, ...).  It is safe for concurrent use
-// and may be shared by several Systems — their observations merge, which is
-// how cmd/ambitbench aggregates across experiments.
+// counters, and renders counters that live elsewhere (CounterSource).  It is
+// safe for concurrent use and may be shared by several Systems — their
+// observations merge, which is how cmd/ambitbench aggregates across
+// experiments.
 //
 // The observation hot paths (ObserveLatencyNS, ObserveEnergyNJ, Add) are
 // lock-free once an opcode or counter exists: the name maps are replaced
@@ -154,6 +155,25 @@ type Registry struct {
 	// the same name render as one exposition block: the unlabeled sample
 	// first, then the labeled series.
 	labeled atomic.Pointer[map[string]*labeledFamily]
+	// sources are the counter sources WriteTo renders; appended under
+	// growMu, which WriteTo holds only to copy the slice header.
+	sources []CounterSource
+}
+
+// CounterSource reports counters that are kept outside the registry and
+// rendered when it is scraped: WriteTo calls it once per scrape, and it
+// calls emit once per sample with the family name, the value, and the
+// sample's labels (none for the family's unlabeled sample).
+type CounterSource func(emit func(family string, v int64, labels ...Label))
+
+// AddCounterSource registers src with the registry.  WriteTo sums each
+// counter sample across every source and any stored counter of the same
+// family and labels; a zero sample a source reports is not rendered.
+// The registry keeps src for its own lifetime.
+func (r *Registry) AddCounterSource(src CounterSource) {
+	r.growMu.Lock()
+	r.sources = append(r.sources, src)
+	r.growMu.Unlock()
 }
 
 // NewRegistry creates an empty registry.
@@ -227,7 +247,8 @@ func (r *Registry) Add(name string, delta int64) {
 	r.counter(name).Add(delta)
 }
 
-// Counter returns the current value of a counter (0 if never touched).
+// Counter returns the current value of a stored counter (0 if never
+// touched).  It does not read counter sources; WriteTo renders those.
 func (r *Registry) Counter(name string) int64 {
 	if c := (*r.counters.Load())[name]; c != nil {
 		return c.Load()
@@ -260,14 +281,6 @@ func (r *Registry) gauge(name string) *atomicFloat64 {
 // (queries/sec, p99 latency, queue depth), unlike the monotone counters.
 func (r *Registry) SetGauge(name string, v float64) {
 	r.gauge(name).Store(v)
-}
-
-// Gauge returns the current value of a gauge (0 if never set).
-func (r *Registry) Gauge(name string) float64 {
-	if g := (*r.gauges.Load())[name]; g != nil {
-		return g.Load()
-	}
-	return 0
 }
 
 // LatencyNS returns a snapshot of op's latency histogram.
@@ -312,10 +325,12 @@ func (r *Registry) Ops() []string {
 // families (labels.go) as ambit_<family>... series with their label sets.
 // A flat counter/gauge and a labeled family sharing a name render under one
 // HELP/TYPE block — unlabeled sample first, labeled series after, sorted by
-// canonical label key.  Output is deterministically ordered.  The totals
-// (_count and the +Inf bucket) are derived from the bucket counts of one
-// snapshot, so every rendered histogram is internally consistent even while
-// observations race the scrape.
+// canonical label key.  Counter sources (AddCounterSource) are read here and
+// merge into the counter blocks by family and label set.  Output is
+// deterministically ordered.  The totals (_count and the +Inf bucket) are
+// derived from the bucket counts of one snapshot, so every rendered
+// histogram is internally consistent even while observations race the
+// scrape.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
 
@@ -363,36 +378,52 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	counters := *r.counters.Load()
-	counterFams := r.labeledFamilies(famCounter)
-	names := make([]string, 0, len(counters)+len(counterFams))
-	for name := range counters {
-		names = append(names, name)
+	// Counters: the stored flat counters and labeled series, and the
+	// sources' nonzero samples, summed by family and canonical label key
+	// ("" — which sorts first — for the unlabeled sample).
+	samples := map[string]map[string]int64{}
+	add := func(family, key string, v int64) {
+		if samples[family] == nil {
+			samples[family] = map[string]int64{}
+		}
+		samples[family][key] += v
 	}
-	for _, f := range counterFams {
-		if _, ok := counters[f.name]; !ok {
-			names = append(names, f.name)
+	for name, c := range *r.counters.Load() {
+		add(name, "", c.Load())
+	}
+	for _, f := range r.labeledFamilies(famCounter) {
+		for _, sr := range f.sortedSeries() {
+			add(f.name, sr.key, sr.c.Value())
 		}
 	}
-	sort.Strings(names)
-	fams := *r.labeled.Load()
-	for _, name := range names {
+	r.growMu.Lock()
+	sources := r.sources
+	r.growMu.Unlock()
+	for _, src := range sources {
+		src(func(family string, v int64, labels ...Label) {
+			if v != 0 {
+				key, _ := seriesKey(labels)
+				add(family, key, v)
+			}
+		})
+	}
+	for _, name := range sortedKeys(samples) {
 		metric := "ambit_" + name + "_total"
 		fmt.Fprintf(&b, "# HELP %s Cumulative %s.\n# TYPE %s counter\n",
 			metric, strings.ReplaceAll(name, "_", " "), metric)
-		if c, ok := counters[name]; ok {
-			fmt.Fprintf(&b, "%s %d\n", metric, c.Load())
-		}
-		if f := fams[name]; f != nil && f.kind == famCounter {
-			for _, sr := range f.sortedSeries() {
-				fmt.Fprintf(&b, "%s{%s} %d\n", metric, sr.key, sr.c.Value())
+		for _, key := range sortedKeys(samples[name]) {
+			if key == "" {
+				fmt.Fprintf(&b, "%s %d\n", metric, samples[name][key])
+			} else {
+				fmt.Fprintf(&b, "%s{%s} %d\n", metric, key, samples[name][key])
 			}
 		}
 	}
 
 	gauges := *r.gauges.Load()
 	gaugeFams := r.labeledFamilies(famGauge)
-	names = names[:0]
+	fams := *r.labeled.Load()
+	names := make([]string, 0, len(gauges)+len(gaugeFams))
 	for name := range gauges {
 		names = append(names, name)
 	}
@@ -417,4 +448,14 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

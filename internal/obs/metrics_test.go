@@ -83,3 +83,53 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatalf("Ops() = %v, want [and xor]", got)
 	}
 }
+
+// TestCounterSources checks the scrape-time counter hook: samples sum across
+// sources and with stored counters of the same family and labels, families
+// and series keep the stored counters' order, and zero samples render
+// nothing — not even a HELP/TYPE block.
+func TestCounterSources(t *testing.T) {
+	r := NewRegistry()
+	r.Add("retries", 2)
+	r.AddLabeled("retries", 5, Label{Key: "ns", Value: "b"})
+	ns := func(v string) Label { return Label{Key: "ns", Value: v} }
+	r.AddCounterSource(func(emit func(string, int64, ...Label)) {
+		emit("retries", 3)
+		emit("retries", 1, ns("b"))
+		emit("retries", 4, ns("a"))
+		emit("corrected_bits", 7)
+		emit("zeroed", 0)
+		emit("zeroed", 0, ns("a"))
+	})
+	r.AddCounterSource(func(emit func(string, int64, ...Label)) {
+		emit("retries", 10)
+		emit("retries", 0, ns("c"))
+		emit("corrected_bits", 1, Label{Key: "overflow", Value: "true"})
+		emit("corrected_bits", 2, ns("a"))
+	})
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	want := `# HELP ambit_corrected_bits_total Cumulative corrected bits.
+# TYPE ambit_corrected_bits_total counter
+ambit_corrected_bits_total 7
+ambit_corrected_bits_total{ns="a"} 2
+ambit_corrected_bits_total{overflow="true"} 1
+# HELP ambit_retries_total Cumulative retries.
+# TYPE ambit_retries_total counter
+ambit_retries_total 15
+ambit_retries_total{ns="a"} 4
+ambit_retries_total{ns="b"} 6
+`
+	if got := b.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	// The readers of stored counters do not see the sources.
+	if got := r.Counter("retries"); got != 2 {
+		t.Errorf("Counter(retries) = %d, want the stored 2", got)
+	}
+	if got := r.LabeledCounterValue("retries", ns("b")); got != 5 {
+		t.Errorf("LabeledCounterValue(retries, b) = %d, want the stored 5", got)
+	}
+}

@@ -201,23 +201,6 @@ func (c *Client) ServiceStats() (map[string]any, error) {
 	return out, err
 }
 
-// MetricGauges fetches /metrics and returns the plain (unlabelled) numeric
-// samples by metric name — gauges and counters; labeled series (histogram
-// buckets, per-tenant shadows) are skipped.  Use MetricSamples to see those.
-func (c *Client) MetricGauges() (map[string]float64, error) {
-	all, err := c.MetricSamples()
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for name, v := range all {
-		if !strings.Contains(name, "{") {
-			out[name] = v
-		}
-	}
-	return out, nil
-}
-
 // MetricSamples fetches /metrics and returns every numeric sample keyed by
 // its full series identity, labels included — the plain
 // "ambit_svc_requests_total" next to the per-tenant
@@ -236,8 +219,14 @@ func (c *Client) MetricSamples() (map[string]float64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/metrics: %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
+	return ParseSamples(string(raw)), nil
+}
+
+// ParseSamples parses Prometheus text exposition into MetricSamples' map:
+// every numeric sample keyed by its series identity, labels included.
+func ParseSamples(exposition string) map[string]float64 {
 	out := map[string]float64{}
-	for _, line := range strings.Split(string(raw), "\n") {
+	for _, line := range strings.Split(exposition, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -254,7 +243,7 @@ func (c *Client) MetricSamples() (map[string]float64, error) {
 		}
 		out[strings.TrimSpace(line[:i])] = f
 	}
-	return out, nil
+	return out
 }
 
 // WaitHealthy polls /healthz until the server answers or the deadline

@@ -1,11 +1,10 @@
 package service
 
 // Per-namespace stats: GET /v1/namespaces/{ns}/stats is the tenant-scoped
-// counterpart of /v1/stats, read entirely from the ns="..." labeled series
-// the request path maintains — request/op/error counters, wall-latency
-// percentiles, the reliability attribution the execution layer commits
-// (retries, corrected bits, MAJ-X fault injections), and the tenant's share
-// of device busy time (System.TagBusyNS).
+// counterpart of /v1/stats.  The request counters and wall-latency
+// percentiles come from the ns="..." labeled series the request path
+// maintains; the simulator's numbers — reliability, fault injections and
+// device busy time — come from the tenant's ledger (System.TagStats).
 
 import (
 	"net/http"
@@ -13,10 +12,11 @@ import (
 	"ambit"
 )
 
-// NamespaceStats is the GET /v1/namespaces/{ns}/stats response.  The counter
-// fields mirror the ambit_svc_*_total{ns="..."} series /metrics exposes; the
-// reliability fields mirror the tenant-labeled shadows of the flat
-// reliability counters (ambit_retries_total{ns="..."}, ...).
+// NamespaceStats is the GET /v1/namespaces/{ns}/stats response.  The
+// request fields equal the ambit_svc_*_total{ns="..."} series /metrics
+// exposes; the simulator fields equal the tenant's ledger, which /metrics
+// renders as ambit_retries_total{ns="..."}, ambit_injected_faults_total{ns="..."}
+// and the like.
 type NamespaceStats struct {
 	Name      string `json:"name"`
 	BaseSlot  int    `json:"base_slot"`
@@ -38,11 +38,11 @@ type NamespaceStats struct {
 	CorrectedBits     int64 `json:"corrected_bits_total"`
 	DetectedRows      int64 `json:"detected_rows_total"`
 	UncorrectableRows int64 `json:"uncorrectable_rows_total"`
-	MajFaultEvents    int64 `json:"maj_fault_events_total"`
-	MajFaultBits      int64 `json:"maj_fault_bits_total"`
+	InjectedFaults    int64 `json:"injected_faults_total"`
+	InjectedFaultBits int64 `json:"injected_fault_bits_total"`
 
 	// BankBusyNS is the simulated device time this tenant's operations
-	// occupied banks for (0 when the System has no utilization collector).
+	// occupied banks for, summed over banks.
 	BankBusyNS float64 `json:"bank_busy_ns"`
 }
 
@@ -73,12 +73,15 @@ func (s *Server) handleNSStats(w http.ResponseWriter, r *http.Request) {
 		st.P50WallNS = snap.Quantile(0.50)
 		st.P99WallNS = snap.Quantile(0.99)
 	}
-	st.Retries = s.reg.LabeledCounterValue("retries", label)
-	st.CorrectedBits = s.reg.LabeledCounterValue("corrected_bits", label)
-	st.DetectedRows = s.reg.LabeledCounterValue("detected_rows", label)
-	st.UncorrectableRows = s.reg.LabeledCounterValue("uncorrectable_rows", label)
-	st.MajFaultEvents = s.reg.LabeledCounterValue("maj_fault_events", label)
-	st.MajFaultBits = s.reg.LabeledCounterValue("maj_fault_bits", label)
-	st.BankBusyNS, _ = s.sys.TagBusyNS(ns.name)
+	ts, _ := s.sys.TagStats(ns.name)
+	st.Retries = ts.Retries
+	st.CorrectedBits = ts.CorrectedBits
+	st.DetectedRows = ts.DetectedRows
+	st.UncorrectableRows = ts.UncorrectableRows
+	st.InjectedFaults = ts.InjectedFaults
+	st.InjectedFaultBits = ts.InjectedFaultBits
+	for _, busy := range ts.BankBusyNS {
+		st.BankBusyNS += busy
+	}
 	writeJSON(w, http.StatusOK, st) //nolint:errcheck // client went away
 }

@@ -2,14 +2,17 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ambit"
+	"ambit/internal/service/loadgen"
 )
 
 func newTestServiceOpts(t *testing.T, cfg Config, opts ...ambit.Option) (*Server, *httptest.Server, *ambit.System) {
@@ -250,12 +253,13 @@ func TestServiceSetWordsFullCoverDifferential(t *testing.T) {
 }
 
 // TestServicePerTenantReliabilityAttribution drives a fault-injecting system
-// through the service from two tenants and checks that the ns-labeled
-// reliability shadows partition the flat counters exactly — which themselves
-// must match Stats.
+// through the service from two tenants and checks the ledger view: the
+// exposition's flat reliability counters equal Stats, its ns-labeled series
+// equal the tenants' ledgers and partition Stats exactly, and each tenant's
+// /v1/namespaces/{ns}/stats reports its ledger.
 func TestServicePerTenantReliabilityAttribution(t *testing.T) {
 	reg := ambit.NewMetrics()
-	svc, ts, sys := newTestServiceOpts(t, Config{},
+	_, ts, sys := newTestServiceOpts(t, Config{},
 		ambit.WithMetrics(reg),
 		ambit.WithFaultModel(ambit.FaultConfig{TRABitRate: 1e-3, DCCBitRate: 1e-4, RowVariation: 1, Seed: 17}),
 		ambit.WithReliability(ambit.Reliability{ECC: true, MaxRetries: 8}),
@@ -269,35 +273,129 @@ func TestServicePerTenantReliabilityAttribution(t *testing.T) {
 	if st.CorrectedBits == 0 {
 		t.Fatal("workload injected no correctable faults; raise the rate so the test exercises attribution")
 	}
-	label := func(ns string) ambit.Label { return ambit.Label{Key: "ns", Value: ns} }
-	for _, c := range []struct {
-		family string
-		want   int64
-	}{
-		{"corrected_bits", st.CorrectedBits},
-		{"retries", st.Retries},
-	} {
-		if flat := reg.Counter(c.family); flat != c.want {
-			t.Errorf("flat %s counter = %d, Stats says %d", c.family, flat, c.want)
-		}
-		sum := reg.LabeledCounterValue(c.family, label("alice")) + reg.LabeledCounterValue(c.family, label("bob"))
-		if sum != c.want {
-			t.Errorf("%s: tenant-labeled sum %d != Stats total %d", c.family, sum, c.want)
-		}
+	var b bytes.Buffer
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
 	}
-	// Families without a Stats counterpart still partition their flat
-	// counter.
-	for _, family := range []string{"detected_rows", "uncorrectable_rows"} {
-		sum := reg.LabeledCounterValue(family, label("alice")) + reg.LabeledCounterValue(family, label("bob"))
-		if flat := reg.Counter(family); sum != flat {
-			t.Errorf("%s: tenant-labeled sum %d != flat counter %d", family, sum, flat)
-		}
-	}
-	// Both tenants ran faulty TRAs, so each must own a nonzero share.
+	samples := loadgen.ParseSamples(b.String())
+	tenants := map[string]ambit.Stats{}
 	for _, ns := range []string{"alice", "bob"} {
-		if got := reg.LabeledCounterValue("corrected_bits", label(ns)); got <= 0 {
-			t.Errorf("corrected_bits{ns=%q} = %d, want > 0", ns, got)
+		tst, ok := sys.TagStats(ns)
+		if !ok {
+			t.Fatalf("no ledger for tenant %s", ns)
+		}
+		tenants[ns] = tst
+	}
+	for _, c := range []struct {
+		family     string
+		tenantOnly bool
+		field      func(ambit.Stats) int64
+	}{
+		{"corrected_bits", false, func(s ambit.Stats) int64 { return s.CorrectedBits }},
+		{"retries", false, func(s ambit.Stats) int64 { return s.Retries }},
+		{"detected_rows", false, func(s ambit.Stats) int64 { return s.DetectedRows }},
+		{"uncorrectable_rows", false, func(s ambit.Stats) int64 { return s.UncorrectableRows }},
+		{"injected_faults", true, func(s ambit.Stats) int64 { return s.InjectedFaults }},
+		{"injected_fault_bits", true, func(s ambit.Stats) int64 { return s.InjectedFaultBits }},
+	} {
+		metric := "ambit_" + c.family + "_total"
+		if flat := samples[metric]; !c.tenantOnly && flat != float64(c.field(st)) {
+			t.Errorf("flat %s = %v, Stats says %d", metric, flat, c.field(st))
+		}
+		var sum int64
+		for ns, tst := range tenants {
+			sum += c.field(tst)
+			series := metric + `{ns="` + ns + `"}`
+			if got := samples[series]; got != float64(c.field(tst)) {
+				t.Errorf("%s = %v, ledger has %d", series, got, c.field(tst))
+			}
+		}
+		if sum != c.field(st) {
+			t.Errorf("%s: tenant ledgers sum to %d, Stats total %d", c.family, sum, c.field(st))
 		}
 	}
-	_ = svc
+	// Both tenants ran faulty TRAs, so each must own a nonzero share, and
+	// the namespace stats endpoint reports exactly its ledger.
+	for ns, tst := range tenants {
+		if tst.CorrectedBits <= 0 {
+			t.Errorf("tenant %s: %d corrected bits, want > 0", ns, tst.CorrectedBits)
+		}
+		code, body, _ := do(t, "GET", ts.URL+"/v1/namespaces/"+ns+"/stats", nil)
+		if code != http.StatusOK {
+			t.Fatalf("ns stats: %d %s", code, body)
+		}
+		var got NamespaceStats
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		var busy float64
+		for _, b := range tst.BankBusyNS {
+			busy += b
+		}
+		want := [7]float64{float64(tst.Retries), float64(tst.CorrectedBits), float64(tst.DetectedRows),
+			float64(tst.UncorrectableRows), float64(tst.InjectedFaults), float64(tst.InjectedFaultBits), busy}
+		have := [7]float64{float64(got.Retries), float64(got.CorrectedBits), float64(got.DetectedRows),
+			float64(got.UncorrectableRows), float64(got.InjectedFaults), float64(got.InjectedFaultBits), got.BankBusyNS}
+		if have != want || busy <= 0 {
+			t.Errorf("%s: /stats reports %v, ledger has %v (retries, corrected, detected, uncorrectable, injected faults, bits, busy ns)", ns, have, want)
+		}
+	}
+}
+
+// TestServiceRouteWallHistogram: each admitted request's host wall time
+// lands in its route's svc_route_wall_ns series, and none in the simulated
+// per-operation latency family, whose sums must stay simulated time.
+func TestServiceRouteWallHistogram(t *testing.T) {
+	svc, ts, sys := newTestService(t, Config{})
+	reqs := driveTenant(t, ts.URL, "alice", int64(sys.RowSizeBits()), 3, 2)
+	for _, op := range svc.reg.Ops() {
+		if strings.HasPrefix(op, "svc.") {
+			t.Errorf("host wall time observed into the simulated latency family as %q", op)
+		}
+	}
+	var total uint64
+	for route, want := range map[string]uint64{"svc.ns_create": 1, "svc.vec_create": 1, "svc.data_write": 1, "svc.op": 3, "svc.query": 2} {
+		snap, ok := svc.reg.LabeledHistogramSnapshot("svc_route_wall_ns", ambit.Label{Key: "route", Value: route})
+		if !ok || snap.Count != want || snap.Sum <= 0 {
+			t.Errorf("svc_route_wall_ns{route=%q}: count %d, sum %v (ok=%v); want %d observations", route, snap.Count, snap.Sum, ok, want)
+		}
+		total += snap.Count
+	}
+	if total != uint64(reqs) {
+		t.Errorf("route series hold %d observations, want one per request (%d)", total, reqs)
+	}
+	// /v1/stats computes its lifetime figures on request: no stats loop to
+	// wait for.
+	st, body, _ := do(t, "GET", ts.URL+"/v1/stats", nil)
+	var snap StatsSnapshot
+	if err := json.Unmarshal(body, &snap); st != http.StatusOK || err != nil {
+		t.Fatalf("/v1/stats: %d %s (%v)", st, body, err)
+	}
+	if snap.QPS <= 0 || snap.P50WallNS <= 0 || snap.P99WallNS < snap.P50WallNS {
+		t.Errorf("/v1/stats = %+v, want qps > 0 and 0 < p50 <= p99", snap)
+	}
+}
+
+// TestServiceBankSaturationVeto: with a telemetry server (and so a bank
+// utilization collector) and a tiny threshold, a request that arrives while
+// another holds an execution slot after the banks have been busy is turned
+// away with 429, kind "saturated" and a Retry-After header.
+func TestServiceBankSaturationVeto(t *testing.T) {
+	svc, ts, sys := newTestServiceOpts(t, Config{SaturationThreshold: 1e-9}, ambit.WithTelemetryAddr("127.0.0.1:0"))
+	driveTenant(t, ts.URL, "busy", int64(sys.RowSizeBits()), 2, 0)
+	if sat, ok := sys.BankSaturation(svc.cfg.SaturationWindowNS); !ok || sat <= 1e-9 {
+		t.Fatalf("BankSaturation = %v (ok=%v) after ops; want above the threshold", sat, ok)
+	}
+	release, err := svc.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	defer release()
+	st, b, hdr := do(t, "POST", ts.URL+"/v1/namespaces/busy/query", mustJSON(t, map[string]string{"op": "popcount", "vector": "v"}))
+	if st != http.StatusTooManyRequests || errKind(t, b) != "saturated" {
+		t.Fatalf("request during saturation: %d %s, want 429 saturated", st, b)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("saturation 429 without Retry-After")
+	}
 }

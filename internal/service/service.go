@@ -51,17 +51,21 @@
 // or assigned by the server, and always echoed in the response header — and
 // executes its simulator calls through ambit.System.Tagged, so op spans,
 // Chrome-trace JSONL, and the telemetry server's /trace stream (filterable
-// with ?ns=NAME) carry the (tenant, request) identity.  The registry keeps
-// per-tenant labeled families alongside the flat totals: svc_requests,
-// svc_ops, svc_queries, svc_errors, svc_rejected_quota, and
+// with ?ns=NAME) carry the (tenant, request) identity, and the simulator
+// books the tenant's work in its ledger (ambit.System.TagStats).  The
+// registry keeps per-tenant labeled families alongside the flat totals:
+// svc_requests, svc_ops, svc_queries, svc_errors, svc_rejected_quota, and
 // svc_rejected_saturated counters plus the svc_wall_ns wall-clock histogram,
-// all rendered by /metrics as ambit_svc_*{ns="..."} series, with the
-// execution layer adding per-tenant reliability attribution (retries,
-// corrected_bits, detected_rows, uncorrectable_rows, maj_fault_events,
-// maj_fault_bits).  GET /v1/namespaces/{ns}/stats reads the same series back
-// as one JSON document; the K slowest requests are retained for
-// /debug/slowlog (SlowlogHandler); and Config.Logger enables sampled
-// structured request logging (log/slog).
+// all rendered by /metrics as ambit_svc_*{ns="..."} series, and one
+// svc_route_wall_ns{route="..."} wall-clock histogram per route.  /metrics
+// renders the tenants' reliability counters (retries, corrected_bits,
+// detected_rows, uncorrectable_rows, injected_faults, injected_fault_bits)
+// from the ledgers when scraped.  GET /v1/namespaces/{ns}/stats reads the
+// request series and the tenant's ledger back as one JSON document, and GET
+// /v1/stats computes throughput and latency quantiles over the server's
+// lifetime from the summed svc_wall_ns buckets; the K slowest requests are
+// retained for /debug/slowlog (SlowlogHandler); and Config.Logger enables
+// sampled structured request logging (log/slog).
 //
 // # Concurrency
 //
@@ -160,20 +164,20 @@ func (c *Config) fill() {
 }
 
 // Server is the multi-tenant bitvector service: an http.Handler serving the
-// /v1 namespace API over one ambit.System.  Create with New, mount with
-// System.RegisterHTTP (or any mux), stop the stats loop with Close.
+// /v1 namespace API over one ambit.System.  Create with New and mount with
+// System.RegisterHTTP (or any mux).
 type Server struct {
-	sys *ambit.System
-	cfg Config
-	mux *http.ServeMux
-	adm *admission
-	reg *ambit.MetricsRegistry
+	sys     *ambit.System
+	cfg     Config
+	mux     *http.ServeMux
+	adm     *admission
+	reg     *ambit.MetricsRegistry
+	started time.Time // New's time: /v1/stats' qps divides by the time since
 
 	mu         sync.RWMutex
 	namespaces map[string]*namespace
 	nextBase   int
 
-	stats  *statsLoop
 	slow   *slowlog
 	logSeq atomic.Uint64 // request-log sampling sequence
 
@@ -251,7 +255,7 @@ type namespace struct {
 
 // New creates a Server over sys.  The metrics registry (sys.Metrics(), or a
 // private one when sys has none) receives svc_* counters, gauges, and
-// per-route latency histograms; Close stops the background qps/p99 loop.
+// wall-clock histograms.
 func New(sys *ambit.System, cfg Config) *Server {
 	cfg.fill()
 	reg := sys.Metrics()
@@ -263,11 +267,11 @@ func New(sys *ambit.System, cfg Config) *Server {
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
 		reg:        reg,
+		started:    time.Now(),
 		namespaces: make(map[string]*namespace),
 		handles:    make(map[string]*nsHandles),
 	}
 	s.adm = newAdmission(sys, cfg, reg)
-	s.stats = newStatsLoop(reg)
 	s.slow = newSlowlog(cfg.SlowlogSize)
 	s.bufPool.New = func() any { b := make([]byte, 0, 1<<16); return &b }
 	s.wordsMu.New = func() any { w := make([]uint64, 0, 1<<13); return &w }
@@ -275,12 +279,10 @@ func New(sys *ambit.System, cfg Config) *Server {
 	return s
 }
 
-// Close stops the background stats loop (idempotent).  In-flight requests
-// finish normally; the handler keeps working.
-func (s *Server) Close() error {
-	s.stats.stop()
-	return nil
-}
+// Close releases the server.  The server runs no background work, so Close
+// does nothing today; in-flight requests finish normally and the handler
+// keeps working.
+func (s *Server) Close() error { return nil }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -307,9 +309,10 @@ func (s *Server) routes() {
 // observability: the X-Request-ID is accepted or assigned (and echoed), the
 // ambit.Tag{NS, Req} rides the request context into the tagged simulator
 // calls, and completion feeds the flat and per-tenant request metrics, the
-// wall-clock histogram behind qps/p99, the slow-request ring, and the
-// sampled structured log.
+// per-tenant wall-clock histogram behind qps/p99, the route's wall-clock
+// histogram, the slow-request ring, and the sampled structured log.
 func (s *Server) admitted(route string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+	routeWall := s.reg.LabeledHistogram("svc_route_wall_ns", ambit.WallBucketsNS, ambit.Label{Key: "route", Value: route})
 	return func(w http.ResponseWriter, r *http.Request) {
 		tag := ambit.Tag{NS: r.PathValue("ns"), Req: requestID(r)}
 		w.Header().Set("X-Request-ID", tag.Req)
@@ -335,7 +338,7 @@ func (s *Server) admitted(route string, h func(http.ResponseWriter, *http.Reques
 			s.writeErrNS(sw, nh, err)
 		}
 		wall := float64(time.Since(start).Nanoseconds())
-		s.reg.ObserveLatencyNS(route, wall)
+		routeWall.Observe(wall)
 		nh.wall.Observe(wall)
 		s.slow.record(SlowEntry{Time: start, Req: tag.Req, NS: tag.NS, Route: route, Status: sw.status, WallNS: wall})
 		s.logRequest(route, tag, sw.status, wall, err)
@@ -846,7 +849,10 @@ func (s *Server) handleFuncRun(w http.ResponseWriter, r *http.Request) error {
 
 // ---- service-wide stats ----
 
-// StatsSnapshot is the GET /v1/stats response.
+// StatsSnapshot is the GET /v1/stats response.  QPS, P50WallNS and
+// P99WallNS cover the server's lifetime: the admitted requests' svc_wall_ns
+// observations, summed over tenants, per second since New and at the 50th
+// and 99th percentile of their buckets.
 type StatsSnapshot struct {
 	Namespaces        int     `json:"namespaces"`
 	QuotaRowsUsed     int     `json:"quota_rows_used"`
@@ -870,12 +876,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.RUnlock()
 	sat, _ := s.sys.BankSaturation(s.cfg.SaturationWindowNS)
+	wall := s.wallTotals()
 	snap := StatsSnapshot{
 		Namespaces:        nss,
 		QuotaRowsUsed:     used,
-		QPS:               s.reg.Gauge("svc_qps"),
-		P50WallNS:         s.reg.Gauge("svc_p50_wall_ns"),
-		P99WallNS:         s.reg.Gauge("svc_p99_wall_ns"),
+		QPS:               float64(wall.Count) / time.Since(s.started).Seconds(),
+		P50WallNS:         wall.Quantile(0.50),
+		P99WallNS:         wall.Quantile(0.99),
 		Inflight:          s.adm.inflight(),
 		QueueDepth:        s.adm.queued(),
 		RequestsTotal:     s.reg.Counter("svc_requests"),
@@ -884,6 +891,23 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		BankSaturation:    sat,
 	}
 	writeJSON(w, http.StatusOK, snap) //nolint:errcheck // client went away
+}
+
+// wallTotals sums the bucket counts of every svc_wall_ns series (the
+// overflow series included) into one snapshot whose Count is their total.
+func (s *Server) wallTotals() ambit.HistogramSnapshot {
+	var total ambit.HistogramSnapshot
+	for _, series := range s.reg.LabeledHistograms("svc_wall_ns") {
+		if total.Counts == nil {
+			total.Bounds = series.Snap.Bounds
+			total.Counts = make([]uint64, len(series.Snap.Counts))
+		}
+		for i, c := range series.Snap.Counts {
+			total.Counts[i] += c
+			total.Count += c
+		}
+	}
+	return total
 }
 
 // ---- helpers ----

@@ -162,6 +162,30 @@ func TestHostIOChannelAccounting(t *testing.T) {
 	check("backdoor WriteAt", 0, func() error { return v.WriteAt(wpr/2, patch, Backdoor()) })
 }
 
+// TestChannelIOEnergy restates EnergyNJ's channel term from DESIGN's
+// 40 nJ/KB: a costed write plus a costed read of n rows adds exactly
+// 2·n·rowBytes/1024·40 nJ over the device's command energy.
+func TestChannelIOEnergy(t *testing.T) {
+	sys, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	rowBytes := int64(sys.RowSizeBits() / 8)
+	v := sys.MustAlloc(n * int64(sys.RowSizeBits()))
+	if err := v.Write(make([]uint64, v.WordCount())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Read(); err != nil {
+		t.Fatal(err)
+	}
+	device := sys.Config().Energy.DeviceEnergyNJ(sys.Device().Stats())
+	want := float64(2*n*rowBytes) / 1024 * 40
+	if got := sys.EnergyNJ(); got != device+want {
+		t.Errorf("EnergyNJ = %v nJ, want device %v + channel %v nJ", got, device, want)
+	}
+}
+
 // TestReadIntoAllocFree holds the hot read path to zero allocations per
 // call with a reused buffer (the serving layer's data plane depends on it).
 func TestReadIntoAllocFree(t *testing.T) {

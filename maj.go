@@ -26,12 +26,7 @@ func (s *System) Maj(dst *Bitvector, srcs ...*Bitvector) error {
 	return s.majTagged(Tag{}, dst, srcs)
 }
 
-// majTagged is Maj with a request tag.  Beyond the usual span/utilization
-// tagging, a tagged Maj attributes the fault model's many-row injection
-// events to the tenant: the per-(bank,subarray) fault streams are
-// deterministic, so the counter delta across the operation is exactly the
-// operation's own injections when requests serialize, and a conserved blend
-// under concurrent clients (the same caveat as span energy attribution).
+// majTagged is Maj with a request tag.
 func (s *System) majTagged(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
 	s.execMu.RLock()
 	defer s.execMu.RUnlock()
@@ -42,24 +37,6 @@ func (s *System) majTagged(tag Tag, dst *Bitvector, srcs []*Bitvector) error {
 	run.dst = dst
 	run.srcs = append(run.srcs, srcs...)
 	return s.dispatch(run, s.eng.PlanAddrs(dst.rows))
-}
-
-// majFaultsBefore snapshots the fault model's many-row injection counters
-// for per-tenant attribution; returns zeros when attribution is off.
-func (s *System) majFaultsBefore(tag Tag) (events, bits int64, on bool) {
-	if tag.NS == "" || s.fm == nil || s.cfg.Metrics == nil {
-		return 0, 0, false
-	}
-	fc := s.fm.Counters()
-	return fc.MajEvents, fc.FlippedBits, true
-}
-
-// majFaultsCommit charges the counter deltas since majFaultsBefore to the
-// tenant's labeled maj_fault families.
-func (s *System) majFaultsCommit(tag Tag, events, bits int64) {
-	fc := s.fm.Counters()
-	s.addLabeledNS(tag, "maj_fault_events", fc.MajEvents-events)
-	s.addLabeledNS(tag, "maj_fault_bits", fc.FlippedBits-bits)
 }
 
 // checkMajOperands validates operand liveness, arity, distinctness, and

@@ -158,8 +158,8 @@ func TestMetricsMatchStatsBatch(t *testing.T) {
 }
 
 // TestReliabilityCountersMatchStats runs a fault-injecting workload under
-// the TMR policy and checks that the registry's reliability counters track
-// the Stats fields exactly.
+// the TMR policy and checks that the reliability counters the registry's
+// exposition renders equal the Stats fields exactly.
 func TestReliabilityCountersMatchStats(t *testing.T) {
 	reg := NewMetrics()
 	sys, err := New(
@@ -184,11 +184,12 @@ func TestReliabilityCountersMatchStats(t *testing.T) {
 	if st.CorrectedBits == 0 {
 		t.Fatal("workload injected no correctable faults; raise the rate so the test exercises the counters")
 	}
-	if got := reg.Counter("corrected_bits"); got != st.CorrectedBits {
-		t.Errorf("corrected_bits counter = %d, Stats.CorrectedBits = %d", got, st.CorrectedBits)
-	}
-	if got := reg.Counter("retries"); got != st.Retries {
-		t.Errorf("retries counter = %d, Stats.Retries = %d", got, st.Retries)
+	samples := exposition(t, reg)
+	for _, c := range reliabilityFamilies[:4] {
+		metric := "ambit_" + c.family + "_total"
+		if got := samples[metric]; got != float64(c.field(st)) {
+			t.Errorf("%s = %v, Stats has %d", metric, got, c.field(st))
+		}
 	}
 }
 

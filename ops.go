@@ -81,8 +81,8 @@ func (s *System) apply(op controller.Op, dst, a, b *Bitvector) error {
 	return s.applyTagged(Tag{}, op, dst, a, b)
 }
 
-// applyTagged is apply with a request tag: the tag flows to the op span, the
-// utilization collector, and the reliability commit points (tag.go).
+// applyTagged is apply with a request tag: the tag flows to the op span and
+// the tenant's ledger (tag.go).
 // Coherence: flush the source rows; the destination invalidation proceeds
 // in parallel with the operation (Section 5.4.4).
 func (s *System) applyTagged(tag Tag, op controller.Op, dst, a, b *Bitvector) error {
@@ -107,25 +107,15 @@ func (s *System) execRowReliable(op controller.Op, da dram.PhysAddr, aRow, bRow 
 }
 
 // accountReliabilityLocked folds one row's reliability outcome into the
-// stats and the quarantine score of the destination row, and — when the
-// operation carries a tenant tag — into the per-namespace labeled shadow
-// counters, so ECC corrections and retries are attributable to the workload
-// that incurred them.  The caller holds statsMu.
-func (s *System) accountReliabilityLocked(tag Tag, da dram.PhysAddr, rr controller.RowResult) {
-	s.stats.CorrectedBits += rr.CorrectedBits
-	s.stats.Retries += rr.Retries
-	if m := s.cfg.Metrics; m != nil {
-		if rr.Retries > 0 {
-			m.Add("retries", rr.Retries)
-			s.addLabeledNS(tag, "retries", rr.Retries)
-		}
-		if rr.CorrectedBits > 0 {
-			m.Add("corrected_bits", rr.CorrectedBits)
-			s.addLabeledNS(tag, "corrected_bits", rr.CorrectedBits)
-		}
-		if rr.Detected > 0 {
-			m.Add("detected_rows", rr.Detected)
-			s.addLabeledNS(tag, "detected_rows", rr.Detected)
+// ledger — the System's counters and, for a tagged operation, its tenant's
+// t (nil when untagged) — and into the quarantine score of the destination
+// row.  The caller holds statsMu.
+func (s *System) accountReliabilityLocked(t *Stats, da dram.PhysAddr, rr controller.RowResult) {
+	for _, st := range [...]*Stats{&s.stats, t} {
+		if st != nil {
+			st.CorrectedBits += rr.CorrectedBits
+			st.Retries += rr.Retries
+			st.DetectedRows += rr.Detected
 		}
 	}
 	if rr.Detected > 0 && s.cfg.QuarantineAfter > 0 && !s.quarantined[da] {

@@ -96,8 +96,9 @@ func WithTracer(tr *Tracer) Option {
 }
 
 // WithMetrics installs a metrics registry accumulating per-opcode latency and
-// energy histograms plus reliability counters.  Pass one registry to several
-// Systems to aggregate across them.
+// energy histograms; its exposition also renders the System's reliability
+// counters from the System's ledger.  Pass one registry to several Systems
+// to aggregate across them.
 func WithMetrics(m *MetricsRegistry) Option {
 	return func(c *Config) { c.Metrics = m }
 }
@@ -109,15 +110,6 @@ func WithMetrics(m *MetricsRegistry) Option {
 // every span.
 func WithTraceSampling(n int) Option {
 	return func(c *Config) { c.TraceSampling = n }
-}
-
-// WithBankUtil enables the per-bank utilization collector without starting a
-// telemetry server: System.BankSaturation and System.TagBusyNS (per-tenant
-// busy-time attribution) work, at the cost of one interval record per command
-// train.  Implied by WithTelemetryAddr; the default (off) keeps the hot paths
-// free of collection.
-func WithBankUtil(on bool) Option {
-	return func(c *Config) { c.BankUtil = on }
 }
 
 // WithTelemetryAddr starts a live telemetry HTTP server on the given address

@@ -3,11 +3,13 @@ package ambit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ambit/internal/controller"
 	"ambit/internal/dram"
 	"ambit/internal/exec"
+	"ambit/internal/fault"
 	"ambit/internal/obs"
 )
 
@@ -21,16 +23,19 @@ import (
 // the exact-semantics fallback (traced runs, ECC, armed fault models,
 // ineligible operands).  The two routes differ only in how a completed row
 // is booked (rowBooker).  A direct op's opRunner books each row at once: it
-// reserves the bank's timeline from the operation's start and accounts
-// reliability under statsMu.  A Batch's batchStreams stores per-item
-// latencies and reliability outcomes for the deterministic timing phase.
-// Both implement exec.GroupRunner with pointer receivers and no closures:
-// closures capture, captures allocate, and the direct-op hot path must not.
+// reserves the bank's timeline from the operation's start, accounts
+// reliability into the ledger (stats.go) under statsMu, and sums a tagged
+// op's per-bank busy time for dispatch to commit.  A Batch's batchStreams
+// stores per-item latencies and reliability outcomes for the deterministic
+// timing phase.  Both implement exec.GroupRunner with pointer receivers and
+// no closures: closures capture, captures allocate, and the direct-op hot
+// path must not.
 //
 // Scratch slices (operand address buffers, train lists) come from pools and
 // are claimed per runRows call, never shared across the concurrently
 // running groups of one plan; the runner itself is read-only while its plan
-// runs.
+// runs, apart from the busy sums, where each bank group writes only its own
+// bank's entry.
 
 // opKind selects an operation's row body.
 type opKind uint8
@@ -144,47 +149,54 @@ func (o *opRecord) train(row int) controller.RowTrain {
 	return t
 }
 
-// countOpLocked adds rows completed rows of o to the Stats counters, and o
+// countOpLocked adds rows completed rows of o to the ledger — the System's
+// counters and, for a tagged op, its tenant's t (nil when untagged) — and o
 // itself when it completed.  Popcount rows count nothing here: the timing
 // phase charges their channel bytes.  The caller holds statsMu, or execMu
 // exclusively.
-func (s *System) countOpLocked(o *opRecord, rows int, done bool) {
-	switch o.kind {
-	case opCopy, opFill:
-		s.stats.Copies += int64(rows)
-	case opPopcount:
-	default:
-		s.stats.RowOps += int64(rows)
-	}
-	if !done {
-		return
-	}
-	switch o.kind {
-	case opBulk:
-		s.stats.BulkOps[o.op]++
-	case opFunc:
-		s.stats.FuncOps++
-	case opMaj:
-		s.stats.MajOps++
+func (s *System) countOpLocked(t *Stats, o *opRecord, rows int, done bool) {
+	for _, st := range [...]*Stats{&s.stats, t} {
+		if st == nil {
+			continue
+		}
+		switch o.kind {
+		case opCopy, opFill:
+			st.Copies += int64(rows)
+		case opPopcount:
+		default:
+			st.RowOps += int64(rows)
+		}
+		switch {
+		case !done:
+		case o.kind == opBulk:
+			st.BulkOps[o.op]++
+		case o.kind == opFunc:
+			st.FuncOps++
+		case o.kind == opMaj:
+			st.MajOps++
+		}
 	}
 }
 
-// countUncorrectableLocked records one row whose TMR retry budget ran out.
-// The caller holds statsMu, or execMu exclusively.
-func (s *System) countUncorrectableLocked(tag Tag) {
+// countUncorrectableLocked records one row whose TMR retry budget ran out,
+// in the System's ledger and tenant t's (nil when untagged).  The caller
+// holds statsMu.
+func (s *System) countUncorrectableLocked(t *Stats) {
 	s.stats.UncorrectableRows++
-	if m := s.cfg.Metrics; m != nil {
-		m.Add("uncorrectable_rows", 1)
+	if t != nil {
+		t.UncorrectableRows++
 	}
-	s.addLabeledNS(tag, "uncorrectable_rows", 1)
 }
 
 // reserveRow books one row train of latency lat on bank from start: it
 // reserves the bank's timeline, records the busy interval for the
-// utilization collector, and returns the train's completion time.
-func (s *System) reserveRow(tag Tag, bank int, start, lat float64) float64 {
+// utilization collector (present only with a telemetry server), and returns
+// the train's completion time.
+func (s *System) reserveRow(bank int, start, lat float64) float64 {
 	done := s.dev.Bank(bank).Reserve(start, lat)
-	s.utilRecord(tag, bank, done, lat)
+	if s.util != nil {
+		s.util.Record(bank, done-lat, done)
+	}
 	return done
 }
 
@@ -305,13 +317,18 @@ func (s *System) runRows(idx []int, ss *obs.ShardSet, st rowBooker) exec.GroupRe
 // opRunner executes one direct operation's bank groups: the stream index is
 // the operation's row.  Fields are populated by the dispatching operation
 // and cleared on release; the zero start time of a pooled runner is never
-// observed because every dispatch overwrites it.
+// observed because every dispatch overwrites it.  A tagged operation's
+// runner also carries its tenant's ledger and the per-bank busy time its
+// rows booked, which dispatch commits once: each bank group writes only its
+// own bank's entry, so the sum takes no lock.
 type opRunner struct {
 	opRecord
-	s     *System
-	tag   Tag
-	start float64
-	ss    *obs.ShardSet
+	s      *System
+	tag    Tag
+	start  float64
+	ss     *obs.ShardSet
+	tenant *Stats
+	busy   []float64
 }
 
 var opRunnerPool = sync.Pool{New: func() any { return new(opRunner) }}
@@ -328,7 +345,7 @@ func getOpRunner(s *System, kind opKind, tag Tag) *opRunner {
 func putOpRunner(r *opRunner) {
 	clear(r.dsts)
 	clear(r.srcs)
-	*r = opRunner{opRecord: opRecord{dsts: r.dsts[:0], srcs: r.srcs[:0]}}
+	*r = opRunner{opRecord: opRecord{dsts: r.dsts[:0], srcs: r.srcs[:0]}, busy: r.busy[:0]}
 	opRunnerPool.Put(r)
 }
 
@@ -339,42 +356,54 @@ func (r *opRunner) RunGroup(_ int, rows []int) exec.GroupResult {
 
 func (r *opRunner) at(i int) (*opRecord, int) { return &r.opRecord, i }
 
-// bookRow reserves the row's bank from the operation's start.
+// bookRow reserves the row's bank from the operation's start and adds its
+// busy time to a tagged operation's per-bank sum.
 func (r *opRunner) bookRow(_, bank int, lat float64) float64 {
-	return r.s.reserveRow(r.tag, bank, r.start, lat)
+	if r.tenant != nil {
+		r.busy[bank] += lat
+	}
+	return r.s.reserveRow(bank, r.start, lat)
 }
 
-// bookReliable folds the row's TMR outcome into the stats at once.
+// bookReliable folds the row's TMR outcome into the ledger at once.
 func (r *opRunner) bookReliable(_ int, addr dram.PhysAddr, rr controller.RowResult) {
 	r.s.statsMu.Lock()
-	r.s.accountReliabilityLocked(r.tag, addr, rr)
+	r.s.accountReliabilityLocked(r.tenant, addr, rr)
 	r.s.statsMu.Unlock()
 }
 
 // dispatch runs one direct operation: the coherence charge, then plan's bank
 // groups, each bank's trains on one worker of the execution engine under its
 // shard lock, with command events captured per bank and merged into row
-// order (obs.ShardSet); then the deterministic merge and the stats commit.
+// order (obs.ShardSet); then the deterministic merge and the ledger commit.
 // Results, Stats and trace bytes are the same at every worker count.  run
 // carries the operands, the kind and the tag; dispatch returns it and the
 // plan to their pools.  The caller has validated the operands and holds
 // execMu: for reading with a PlanAddrs plan, exclusively with a PlanStream
 // plan (whose single bankless group runs on this goroutine).
 //
+// A tagged operation's tenant is charged its rows' busy time and the fault
+// model's counter change across the operation: exactly its own injections
+// when operations serialize, a conserved blend under concurrent clients.
+//
 // Per-bank prefix semantics: a failing bank stops at its failing row, other
 // banks complete theirs, and the clock and row counters account what ran.
 func (s *System) dispatch(run *opRunner, plan *exec.Plan) error {
 	tag := run.tag
 	observing := s.observing()
-	var fmEvents, fmBits int64
-	var fmAttr bool
-	if run.kind == opMaj {
-		fmEvents, fmBits, fmAttr = s.majFaultsBefore(tag)
-	}
 	var devBefore dram.Stats
+	var faultsBefore fault.Counters
 	s.statsMu.Lock()
 	if observing {
 		devBefore = s.dev.Stats()
+	}
+	if tag.NS != "" {
+		run.tenant = s.tenantLocked(tag.NS)
+		run.busy = slices.Grow(run.busy[:0], s.banks)[:s.banks]
+		clear(run.busy)
+		if s.fm != nil {
+			faultsBefore = s.fm.Counters()
+		}
 	}
 	opStart := s.stats.ElapsedNS
 	start := opStart + s.coherenceNS(run.coherenceRows())
@@ -393,14 +422,23 @@ func (s *System) dispatch(run *opRunner, plan *exec.Plan) error {
 	if end > s.stats.ElapsedNS {
 		s.stats.ElapsedNS = end
 	}
-	s.countOpLocked(&run.opRecord, res.Completed, res.Err == nil)
+	t := run.tenant
+	s.countOpLocked(t, &run.opRecord, res.Completed, res.Err == nil)
 	if errors.Is(res.Err, ErrUncorrectable) {
-		s.countUncorrectableLocked(tag)
+		s.countUncorrectableLocked(t)
+	}
+	if t != nil {
+		for bank, ns := range run.busy {
+			t.BankBusyNS[bank] += ns
+		}
+		if s.fm != nil {
+			e0, b0 := injected(faultsBefore)
+			e1, b1 := injected(s.fm.Counters())
+			t.InjectedFaults += e1 - e0
+			t.InjectedFaultBits += b1 - b0
+		}
 	}
 	s.statsMu.Unlock()
-	if fmAttr {
-		s.majFaultsCommit(tag, fmEvents, fmBits)
-	}
 
 	var err error
 	if res.Err != nil {

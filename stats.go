@@ -2,9 +2,13 @@ package ambit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"ambit/internal/controller"
+	"ambit/internal/fault"
+	"ambit/internal/obs"
 )
 
 // channelIOEnergyPerKB is the I/O and termination energy of moving one KB
@@ -15,8 +19,8 @@ import (
 const channelIOEnergyPerKB = 40.0
 
 // Stats accumulates the simulated cost of everything a System has executed.
-// Snapshots returned by System.Stats are self-contained values; the
-// BankBusyNS slice is freshly allocated per snapshot.
+// Snapshots returned by System.Stats and System.TagStats are self-contained
+// values; the BankBusyNS slice is freshly allocated per snapshot.
 type Stats struct {
 	// ElapsedNS is the simulated wall-clock time: bulk operations advance
 	// it by their cross-bank makespan, channel transfers by their
@@ -66,6 +70,10 @@ type Stats struct {
 	// verification round found more disagreeing bits than the policy
 	// threshold (detected-uncorrectable).
 	Retries int64
+	// DetectedRows counts verification rounds whose replicas disagreed at
+	// all: the failure evidence the quarantine policy accumulates.  Not
+	// part of String.
+	DetectedRows int64
 	// UncorrectableRows counts rows that exhausted the retry budget and
 	// surfaced ErrUncorrectable to the caller.
 	UncorrectableRows int64
@@ -132,6 +140,82 @@ func (st Stats) String() string {
 	return s
 }
 
+// ledger is the one place the simulator counts what it executed: the
+// System's Stats plus one Stats per tenant (Tag.NS; TagStats lists its
+// fields), at most obs.MaxSeriesPerFamily of them, later tenants sharing
+// overflow.  Each commit helper writes the System's Stats and, for a tagged
+// operation, its tenant's.  A metrics registry renders the reliability
+// counters from here when scraped, so the ledger is its own allocation with
+// no pointer back to the System: a registry may outlive its Systems.
+type ledger struct {
+	// statsMu guards the ledger, and the System's faultScore and
+	// quarantined, against parallel operations and scrapes.  Exclusive
+	// execMu holders may skip it only for fields render does not read.
+	statsMu  sync.Mutex
+	stats    Stats
+	tenants  map[string]*Stats
+	overflow *Stats
+	banks    int
+}
+
+// tenantLocked returns the ledger of tenant ns, creating it on first use.
+// The caller holds statsMu.
+func (l *ledger) tenantLocked(ns string) *Stats {
+	if t := l.tenants[ns]; t != nil {
+		return t
+	}
+	if len(l.tenants) >= obs.MaxSeriesPerFamily {
+		if l.overflow == nil {
+			l.overflow = &Stats{BankBusyNS: make([]float64, l.banks)}
+		}
+		return l.overflow
+	}
+	if l.tenants == nil {
+		l.tenants = make(map[string]*Stats)
+	}
+	t := &Stats{BankBusyNS: make([]float64, l.banks)}
+	l.tenants[ns] = t
+	return t
+}
+
+// render is the ledger's obs.CounterSource: the reliability counters of the
+// System's ledger unlabeled, each tenant's under ns="<name>", the overflow
+// ledger's under overflow="true".  The System's own InjectedFaults and
+// InjectedFaultBits stay zero here (Stats reads them from the fault model),
+// so those two families render per tenant only.  It copies the ledgers
+// under statsMu and emits after releasing it.
+func (l *ledger) render(emit func(family string, v int64, labels ...obs.Label)) {
+	type labeled struct {
+		labels []obs.Label
+		st     Stats
+	}
+	l.statsMu.Lock()
+	// Of the System's own ledger, only the reliability counters are always
+	// written under statsMu; a tenant ledger is written under it whole.
+	ledgers := []labeled{{nil, Stats{Retries: l.stats.Retries, CorrectedBits: l.stats.CorrectedBits,
+		DetectedRows: l.stats.DetectedRows, UncorrectableRows: l.stats.UncorrectableRows}}}
+	for ns, t := range l.tenants {
+		ledgers = append(ledgers, labeled{[]obs.Label{{Key: "ns", Value: ns}}, *t})
+	}
+	if l.overflow != nil {
+		ledgers = append(ledgers, labeled{[]obs.Label{{Key: "overflow", Value: "true"}}, *l.overflow})
+	}
+	l.statsMu.Unlock()
+	for _, c := range ledgers {
+		emit("retries", c.st.Retries, c.labels...)
+		emit("corrected_bits", c.st.CorrectedBits, c.labels...)
+		emit("detected_rows", c.st.DetectedRows, c.labels...)
+		emit("uncorrectable_rows", c.st.UncorrectableRows, c.labels...)
+		emit("injected_faults", c.st.InjectedFaults, c.labels...)
+		emit("injected_fault_bits", c.st.InjectedFaultBits, c.labels...)
+	}
+}
+
+// injected returns the fault model's event and flipped-bit counts.
+func injected(fc fault.Counters) (events, bits int64) {
+	return fc.TRAEvents + fc.MajEvents + fc.DCCEvents, fc.FlippedBits
+}
+
 // Stats returns a snapshot of the accumulated counters, including the
 // per-bank busy breakdown.  Fault-injection counters are read live from the
 // fault model; QuarantinedRows reflects the current quarantine set.
@@ -141,9 +225,7 @@ func (s *System) Stats() Stats {
 	st := s.stats
 	st.BankBusyNS = s.dev.BankBusyNS()
 	if s.fm != nil {
-		fc := s.fm.Counters()
-		st.InjectedFaults = fc.TRAEvents + fc.MajEvents + fc.DCCEvents
-		st.InjectedFaultBits = fc.FlippedBits
+		st.InjectedFaults, st.InjectedFaultBits = injected(s.fm.Counters())
 	}
 	if p := s.cfg.FaultProfile; p != nil {
 		st.FaultProfile = p.Name
@@ -152,13 +234,44 @@ func (s *System) Stats() Stats {
 	return st
 }
 
-// ResetStats zeroes the system, device, controller, RowClone, and fault-model
-// counters.  Memory contents, allocations, and the quarantine set are
-// untouched (quarantine is memory state, not a statistic).
+// TagStats returns the ledger of tenant ns: what the direct operations run
+// under a Tag with that NS executed since New or the last ResetStats.  A
+// tenant ledger carries the operation counters (BulkOps, RowOps, FuncOps,
+// MajOps, Copies), the reliability counters (CorrectedBits, Retries,
+// DetectedRows, UncorrectableRows), the fault model's injections during the
+// tenant's operations (InjectedFaults, InjectedFaultBits) and its per-bank
+// busy time (BankBusyNS).  ElapsedNS, CoherenceNS, ChannelBytes,
+// QuarantinedRows and FaultProfile are System-wide and stay zero in it.
+//
+// ok is false when no such operation has run, or when ns arrived after
+// MaxSeriesPerFamily (internal/obs) other tenants and shares the overflow
+// ledger, which the metrics view renders as {overflow="true"}.  The ledgers
+// of tenants whose operations ran one at a time partition Stats' counters
+// exactly; under concurrent clients InjectedFaults and InjectedFaultBits
+// blend between overlapping operations (their totals are conserved), the
+// same caveat as span energy.
+func (s *System) TagStats(ns string) (Stats, bool) {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	t := s.tenants[ns]
+	if t == nil {
+		return Stats{}, false
+	}
+	st := *t
+	st.BankBusyNS = slices.Clone(t.BankBusyNS)
+	return st, true
+}
+
+// ResetStats zeroes the system, tenant, device, controller, RowClone, and
+// fault-model counters.  Memory contents, allocations, and the quarantine
+// set are untouched (quarantine is memory state, not a statistic).
 func (s *System) ResetStats() {
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
+	s.statsMu.Lock()
 	s.stats = Stats{}
+	s.tenants, s.overflow = nil, nil
+	s.statsMu.Unlock()
 	s.dev.ResetStats()
 	s.dev.ResetTimelines()
 	s.ctrl.ResetStats()
@@ -183,18 +296,4 @@ func (s *System) ElapsedNS() float64 {
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	return s.stats.ElapsedNS
-}
-
-// TagBusyNS returns the total simulated bank-busy time attributed to the
-// given utilization tag — the namespace of Tagged operations (Tag.NS), or ""
-// for untagged work.  The second result is false when the System has no
-// utilization collector (neither Config.TelemetryAddr nor Config.BankUtil is
-// set).  Together with Stats().BankBusyNS this answers the serving layer's
-// per-tenant accounting question: how much device time did each tenant's
-// requests actually occupy.
-func (s *System) TagBusyNS(tag string) (float64, bool) {
-	if s.util == nil {
-		return 0, false
-	}
-	return s.util.TagBusyNS(tag), true
 }

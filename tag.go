@@ -1,19 +1,15 @@
 package ambit
 
-import (
-	"ambit/internal/controller"
-	"ambit/internal/obs"
-)
+import "ambit/internal/controller"
 
 // Request-scoped execution tagging: the serving layer executes every tenant
 // operation through a Tagged view, so the (tenant, request) identity rides
-// with the operation into the observability layer — op spans and Chrome-trace
-// JSONL carry the namespace and request id, the bank-utilization collector
-// attributes busy time per namespace, and the TMR reliability commit points
-// bump per-namespace labeled counters alongside the global Stats fields.
-// Untagged library calls (the plain System methods) behave exactly as before:
-// they execute with the zero Tag, which annotates nothing and costs nothing
-// beyond passing an empty struct down the call chain.
+// with the operation — op spans and Chrome-trace JSONL carry the namespace
+// and request id, and every ledger commit of the operation (rows, bank busy
+// time, fault injections, TMR outcomes) lands in the tenant's Stats beside
+// the System's (System.TagStats; the metrics view renders both).  Untagged
+// library calls (the plain System methods) execute with the zero Tag, which
+// annotates nothing and writes only the System's Stats.
 
 // Tag identifies the tenant and request an operation executes on behalf of.
 // The zero Tag means "untagged" and is what every plain System method uses.
@@ -64,17 +60,4 @@ func (t Tagged) Maj(dst *Bitvector, srcs ...*Bitvector) error {
 // been compiled on the view's System (ErrForeignSystem otherwise).
 func (t Tagged) RunFunc(f *Func, dsts []*Bitvector, srcs ...*Bitvector) error {
 	return t.s.runMultiTagged(t.tag, f, dsts, srcs)
-}
-
-// addLabeledNS bumps the ns-labeled series of a counter family when the
-// operation is tagged — the per-tenant shadow of a flat reliability counter.
-// The flat counter itself stays the caller's responsibility, so the
-// metrics↔Stats invariants of untagged runs are untouched.
-func (s *System) addLabeledNS(tag Tag, name string, delta int64) {
-	if tag.NS == "" || delta <= 0 {
-		return
-	}
-	if m := s.cfg.Metrics; m != nil {
-		m.AddLabeled(name, delta, obs.Label{Key: "ns", Value: tag.NS})
-	}
 }
