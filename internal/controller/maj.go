@@ -65,13 +65,13 @@ func (c *Controller) MajLatencyNS(w int) float64 {
 // its net effect: the many-row activation latches MAJ-k of the k sources
 // directly, since the even replication and the balanced C0/C1 fill make the
 // staged block's majority and weak-bit mask functions of the sources alone
-// (dram.Subarray.ActivateManyFrom); the result is written into the staging
-// rows and dk, and the census is committed at once.  The staging copies move
-// data through single, non-negated wordlines and draw no faults, and the one
-// many-row draw reads only the weak-bit mask, so both routes give identical
-// cells, latencies, statistics, fault draws and trace bytes.  Otherwise — or
-// with fusion disabled — the staging AAPs and the many-row train are issued
-// one by one.
+// (dram.Subarray.ActivateManyFrom); the result is written into dk, the
+// staging rows read it back lazily, and the census is committed at once.
+// The staging copies move data through single, non-negated wordlines and
+// draw no faults, and the one many-row draw reads only the weak-bit mask, so
+// both routes give identical cells, latencies, statistics, fault draws and
+// trace bytes.  Otherwise — or with fusion disabled — the staging AAPs and
+// the many-row train are issued one by one.
 func (c *Controller) ExecuteMaj(bank, sub int, dk dram.RowAddr, srcs []dram.RowAddr, scratchBase, w int) (float64, error) {
 	k := len(srcs)
 	repl, fill, err := PlanMaj(k, w)

@@ -3,7 +3,6 @@ package dram
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // Many-row simultaneous activation.
@@ -157,6 +156,8 @@ func (s *Subarray) ActivateMany(rows []int) (int, error) {
 	if err := s.checkMany(rows); err != nil {
 		return 0, err
 	}
+	// The cells are read directly, past cell's pending-block check.
+	s.writePending()
 	var cells [MaxSimultaneousWordlines][]uint64
 	for i, r := range rows {
 		cells[i] = s.data[r]
@@ -195,11 +196,11 @@ func (s *Subarray) checkMany(rows []int) error {
 }
 
 // ActivateManyFrom applies the net effect of the MAJ-X train's many-row
-// step without its staging copies.  The block holds c copies of each of the
-// k data rows srcs, then fill/2 copies of C0 and fill/2 of C1
-// (controller.PlanMaj's shape: k odd, c even and at least 2, fill even,
-// c·k + fill = len(block)); the step is an ActivateMany of the block, an
-// ACTIVATE of data row dst and a PRECHARGE.
+// step without its staging copies.  The block is len(block) consecutive
+// ascending data rows holding c copies of each of the k data rows srcs, then
+// fill/2 copies of C0 and fill/2 of C1 (controller.PlanMaj's shape: k odd, c
+// even and at least 2, fill even, c·k + fill = len(block)); the step is an
+// ActivateMany of the block, an ACTIVATE of data row dst and a PRECHARGE.
 //
 // A bitline whose sources hold s ones counts c·s + fill/2 of the w raised
 // cells, so 2·count − w = c·(2s − k): the block latches MAJ-k of the
@@ -212,14 +213,16 @@ func (s *Subarray) checkMany(rows []int) error {
 // which TestControlRowsNeverCorrupted and TestFaultedFusedMatchesStepwise
 // check.
 //
-// The result is written into every block row and into dst, which may be a
-// source.  The subarray must be precharged and is left precharged; the
-// caller accounts the commands.
+// The result is written into dst, which may be a source.  The block becomes
+// the subarray's pending block: its rows read the result through cell, which
+// writes them on first access, and a previous pending block over other rows
+// is written out first.  The subarray must be precharged and is left
+// precharged; the caller accounts the commands.
 func (s *Subarray) ActivateManyFrom(srcs []int, c, fill int, block []int, dst int) error {
 	if err := s.checkMany(block); err != nil {
 		return err
 	}
-	k, rows := len(srcs), s.geom.DataRows()
+	k, rows, lo := len(srcs), s.geom.DataRows(), block[0]
 	if dst < 0 || dst >= rows {
 		return fmt.Errorf("dram: many-row activation: destination row %d out of range [0,%d)", dst, rows)
 	}
@@ -228,18 +231,29 @@ func (s *Subarray) ActivateManyFrom(srcs []int, c, fill int, block []int, dst in
 		return fmt.Errorf("dram: many-row activation: %d sources, %d copies each and %d fill rows do not stage a block of %d rows",
 			k, c, fill, len(block))
 	}
+	for i, r := range block {
+		if r != lo+i {
+			return fmt.Errorf("dram: many-row activation: staging row %d is not row %d of a consecutive block", r, lo+i)
+		}
+	}
 	for i, r := range srcs {
-		if r < 0 || r >= rows || slices.Contains(block, r) {
+		if r < 0 || r >= rows || r >= lo && r < lo+len(block) {
 			return fmt.Errorf("dram: many-row activation: cannot stage data row %d", r)
 		}
 		cells[i] = s.cell(Wordline{Kind: WLData, Index: r})
 	}
 	s.latchMaj(cells[:k], c == 2)
 	s.manyFaults(len(block))
-	for _, r := range block {
-		copy(s.cell(Wordline{Kind: WLData, Index: r}), s.amps)
+	if s.pendLo != lo || s.pendHi != lo+len(block) {
+		s.writePending()
 	}
-	copy(s.cell(Wordline{Kind: WLData, Index: dst}), s.amps)
+	if s.pendVal == nil {
+		s.pendVal = make([]uint64, len(s.ampsBuf))
+	}
+	s.ampsBuf, s.pendVal = s.pendVal, s.ampsBuf
+	s.amps = s.ampsBuf
+	s.pendLo, s.pendHi = lo, lo+len(block)
+	copy(s.cell(Wordline{Kind: WLData, Index: dst}), s.pendVal)
 	return nil
 }
 

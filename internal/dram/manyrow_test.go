@@ -460,6 +460,7 @@ func TestActivateManyFromMatchesStaged(t *testing.T) {
 		{"source out of range", []int{0, 1, d.Geometry().DataRows()}, 4, 4, block, 5},
 		{"destination out of range", srcs, 4, 4, block, -1},
 		{"duplicate block row", srcs, 4, 4, append(block[:15:15], 8), 5},
+		{"non-consecutive block", srcs, 4, 4, append(block[:15:15], 24), 5},
 	} {
 		if err := s.ActivateManyFrom(bad.srcs, bad.c, bad.fill, bad.block, bad.dst); err == nil {
 			t.Errorf("%s accepted", bad.name)
@@ -470,6 +471,150 @@ func TestActivateManyFromMatchesStaged(t *testing.T) {
 	}
 	if err := s.ActivateManyFrom(srcs, 4, 4, block, 5); err == nil {
 		t.Error("ActivateManyFrom accepted on an activated subarray")
+	}
+}
+
+// pokeRandomRows fills every data row of bank 0, subarray 0 with random
+// content.
+func pokeRandomRows(t *testing.T, d *Device, rng *rand.Rand) {
+	t.Helper()
+	g := d.Geometry()
+	for r := 0; r < g.DataRows(); r++ {
+		if err := d.PokeRow(PhysAddr{Row: D(r)}, randRow(rng, g.WordsPerRow())); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// peekData returns data row r of bank 0, subarray 0.
+func peekData(t *testing.T, d *Device, r int) []uint64 {
+	t.Helper()
+	row, err := d.PeekRow(PhysAddr{Row: D(r)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
+// majPending runs ActivateManyFrom for MAJ-3 of srcs (four copies each, two
+// of each control row) over the 16 rows from lo, into dst, and returns the
+// majority it must latch.  It peeks the sources first, so they must lie
+// outside any pending block.
+func majPending(t *testing.T, d *Device, srcs []int, lo, dst int) []uint64 {
+	t.Helper()
+	var rows [][]uint64
+	for _, r := range srcs {
+		rows = append(rows, peekData(t, d, r))
+	}
+	want, _ := naiveMajority(rows, d.Geometry().WordsPerRow())
+	block := make([]int, 16)
+	for i := range block {
+		block[i] = lo + i
+	}
+	if err := d.Bank(0).Subarray(0).ActivateManyFrom(srcs, 4, 4, block, dst); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestPendingBlockActivateMany: ActivateMany reads its cells past cell's
+// pending-block check, so over rows of a pending block it must latch the
+// block's value, not what the rows held before.
+func TestPendingBlockActivateMany(t *testing.T) {
+	d := newTestDevice(t)
+	pokeRandomRows(t, d, rand.New(rand.NewSource(1)))
+	want := majPending(t, d, []int{0, 1, 2}, 8, 5)
+	if _, err := d.Bank(0).ActivateMany(0, []int{9, 12, 20}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := d.Bank(0).Subarray(0).RowBuffer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Bank(0).Precharge()
+	if !slices.Equal(buf, want) {
+		t.Fatalf("ActivateMany over the pending block latched %x, want the block's value %x", buf, want)
+	}
+	for r := 8; r < 24; r++ {
+		if got := peekData(t, d, r); !slices.Equal(got, want) {
+			t.Fatalf("D%d = %x after ActivateMany, want %x", r, got, want)
+		}
+	}
+}
+
+// TestPendingBlockPokeOneRow: writing one row of a pending block writes the
+// block out first, so every other row of it still reads the latched value.
+func TestPendingBlockPokeOneRow(t *testing.T) {
+	d := newTestDevice(t)
+	rng := rand.New(rand.NewSource(2))
+	pokeRandomRows(t, d, rng)
+	want := majPending(t, d, []int{0, 1, 2}, 8, 5)
+	poked := randRow(rng, d.Geometry().WordsPerRow())
+	if err := d.PokeRow(PhysAddr{Row: D(13)}, poked); err != nil {
+		t.Fatal(err)
+	}
+	for r := 8; r < 24; r++ {
+		w := want
+		if r == 13 {
+			w = poked
+		}
+		if got := peekData(t, d, r); !slices.Equal(got, w) {
+			t.Fatalf("D%d = %x after poking D13, want %x", r, got, w)
+		}
+	}
+	if got := peekData(t, d, 5); !slices.Equal(got, want) {
+		t.Fatalf("destination D5 = %x, want %x", got, want)
+	}
+}
+
+// TestPendingBlockReplacedElsewhere: a pending block is written out before
+// an ActivateManyFrom over other rows records its own, whether the two
+// blocks overlap or not, and one over the same rows replaces it.
+func TestPendingBlockReplacedElsewhere(t *testing.T) {
+	d := newTestDevice(t)
+	pokeRandomRows(t, d, rand.New(rand.NewSource(3)))
+	first := majPending(t, d, []int{0, 1, 2}, 8, 7)   // D8..D23
+	second := majPending(t, d, []int{1, 2, 3}, 16, 7) // D16..D31, overlapping
+	majPending(t, d, []int{2, 3, 4}, 30, 7)           // D30..D45, overlapping
+	last := majPending(t, d, []int{3, 4, 6}, 30, 7)   // the same rows
+	for r := 8; r < 46; r++ {
+		want := last
+		switch {
+		case r < 16:
+			want = first
+		case r < 30:
+			want = second
+		}
+		if got := peekData(t, d, r); !slices.Equal(got, want) {
+			t.Fatalf("D%d = %x, want %x", r, got, want)
+		}
+	}
+}
+
+// TestPendingBlockNeighbours: the pending block covers exactly its rows.
+// Whether the first access goes to its first or its last row, that row
+// reads the latched value, and the rows directly below and above the block
+// read what they held before.
+func TestPendingBlockNeighbours(t *testing.T) {
+	for _, first := range []int{20, 35} {
+		d := newTestDevice(t)
+		pokeRandomRows(t, d, rand.New(rand.NewSource(4)))
+		below, above := peekData(t, d, 19), peekData(t, d, 36)
+		want := majPending(t, d, []int{0, 1, 2}, 20, 5)
+		if got := peekData(t, d, first); !slices.Equal(got, want) {
+			t.Fatalf("first access to D%d read %x, want %x", first, got, want)
+		}
+		if got := peekData(t, d, 19); !slices.Equal(got, below) {
+			t.Fatalf("access to D%d changed D19 below the block to %x, want %x", first, got, below)
+		}
+		if got := peekData(t, d, 36); !slices.Equal(got, above) {
+			t.Fatalf("access to D%d changed D36 above the block to %x, want %x", first, got, above)
+		}
+		for r := 20; r < 36; r++ {
+			if got := peekData(t, d, r); !slices.Equal(got, want) {
+				t.Fatalf("D%d = %x, want %x", r, got, want)
+			}
+		}
 	}
 }
 

@@ -63,14 +63,25 @@ type Subarray struct {
 	// many-row activation (see ActivateMany); reused across calls so the
 	// hot path does not allocate.
 	weakBuf []uint64
+
+	// The pending block of the most recent ActivateManyFrom: every data
+	// row in [pendLo, pendHi) holds pendVal, which has not been written
+	// into the rows yet.  cell writes the block out on the first access to
+	// any of its rows, so no reader of cell storage can tell the
+	// difference.  The block is empty when pendLo == pendHi.
+	pendVal        []uint64
+	pendLo, pendHi int
 }
 
 // NewSubarray constructs a subarray with all cells zeroed except C1, which is
 // pre-initialized to all ones (Section 3.4).
 //
 // Data-row storage is allocated lazily on first access: a nil row reads as
-// all zeros, so an untouched multi-gigabyte device costs almost no host
-// memory.
+// all zeros.  The nine other rows (T0..T3, DCC0, DCC1, C0, C1 and the sense
+// amplifiers' row buffer) are allocated here: 72 KB per subarray at 8 KB
+// rows, 96 KB with the data-row table's 24 bytes per row.  At
+// DefaultGeometry's 512 subarrays that is 50.1 MB, most of the 50.7 MB the
+// root package's New allocates.
 func NewSubarray(g Geometry) *Subarray {
 	w := g.WordsPerRow()
 	s := &Subarray{geom: g, ampsBuf: make([]uint64, w)}
@@ -92,14 +103,14 @@ func NewSubarray(g Geometry) *Subarray {
 }
 
 // cell returns the storage backing a wordline's row, allocating lazily for
-// data rows.
+// data rows and writing out the pending block when the row is one of its.
 func (s *Subarray) cell(w Wordline) []uint64 {
 	switch w.Kind {
 	case WLData:
-		if s.data[w.Index] == nil {
-			s.data[w.Index] = make([]uint64, s.geom.WordsPerRow())
+		if w.Index >= s.pendLo && w.Index < s.pendHi {
+			s.writePending()
 		}
-		return s.data[w.Index]
+		return s.dataRow(w.Index)
 	case WLT:
 		return s.t[w.Index]
 	case WLDCCData, WLDCCNeg:
@@ -108,6 +119,25 @@ func (s *Subarray) cell(w Wordline) []uint64 {
 		return s.ctrl[w.Index]
 	}
 	panic(fmt.Sprintf("dram: unknown wordline kind %d", w.Kind))
+}
+
+// dataRow returns data row r's storage, allocating it on first use, without
+// cell's pending-block check.
+func (s *Subarray) dataRow(r int) []uint64 {
+	if s.data[r] == nil {
+		s.data[r] = make([]uint64, s.geom.WordsPerRow())
+	}
+	return s.data[r]
+}
+
+// writePending writes the pending block's value into its rows and empties
+// the block.
+func (s *Subarray) writePending() {
+	lo, hi := s.pendLo, s.pendHi
+	s.pendLo, s.pendHi = 0, 0
+	for r := lo; r < hi; r++ {
+		copy(s.dataRow(r), s.pendVal)
+	}
 }
 
 // Activated reports whether the subarray's sense amplifiers are enabled.

@@ -72,6 +72,34 @@ func TestLISAHopScaling(t *testing.T) {
 	}
 }
 
+// TestLISALatencyAbsolute pins LISA's latency itself, which hop differences
+// cannot: source ACTIVATE (tRAS), destination write (tRAS) and PRECHARGE
+// (tRP), restated from DDR3-1600's fields, plus 8 ns per subarray boundary
+// crossed, through both LISALatencyNS and the latency a LISA copy returns.
+func TestLISALatencyAbsolute(t *testing.T) {
+	tm := dram.DDR3_1600()
+	g := dram.Geometry{Banks: 1, SubarraysPerBank: 4, RowsPerSubarray: 64, RowSizeBytes: 64}
+	d, err := dram.NewDevice(dram.Config{Geometry: g, Timing: tm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(d)
+	e.EnableLISA = true
+	for _, hops := range []int{1, 3} {
+		want := 2*tm.TRAS + tm.TRP + float64(hops)*8
+		if got := e.LISALatencyNS(0, hops); got != want {
+			t.Errorf("LISALatencyNS over %d hops = %g ns, want %g", hops, got, want)
+		}
+		got, err := e.LISA(dram.PhysAddr{Subarray: 0, Row: dram.D(0)}, dram.PhysAddr{Subarray: hops, Row: dram.D(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("LISA copy over %d hops took %g ns, want %g", hops, got, want)
+		}
+	}
+}
+
 func TestCopyPrefersLISAWhenEnabled(t *testing.T) {
 	d := testDevice(t)
 	e := New(d)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"ambit"
+	"ambit/internal/obs"
 	"ambit/internal/service/loadgen"
 )
 
@@ -397,5 +399,36 @@ func TestServiceBankSaturationVeto(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Error("saturation 429 without Retry-After")
+	}
+}
+
+// TestServiceHandleCacheCap: the per-namespace handle cache stops at the
+// registry's cardinality cap.  Namespaces created past it are not cached,
+// and their requests count in the {overflow="true"} series.
+func TestServiceHandleCacheCap(t *testing.T) {
+	svc, ts, _ := newTestService(t, Config{})
+	const n = 300
+	name := func(i int) string { return fmt.Sprintf("t%03d", i) }
+	for i := 1; i <= n; i++ {
+		if st, b, _ := do(t, "PUT", ts.URL+"/v1/namespaces/"+name(i), nil); st != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name(i), st, b)
+		}
+	}
+	svc.handleMu.RLock()
+	cached, lastCached := len(svc.handles), svc.handles[name(n)] != nil
+	svc.handleMu.RUnlock()
+	if cached != obs.MaxSeriesPerFamily || lastCached {
+		t.Fatalf("handle cache holds %d bundles (%s cached: %v), want %d without %s",
+			cached, name(n), lastCached, obs.MaxSeriesPerFamily, name(n))
+	}
+	overflow := ambit.Label{Key: "overflow", Value: "true"}
+	if got, want := svc.reg.LabeledCounterValue("svc_requests", overflow), int64(n-obs.MaxSeriesPerFamily); got != want {
+		t.Fatalf("svc_requests{overflow} = %d after creating %d namespaces, want %d", got, n, want)
+	}
+	if st, b, _ := do(t, "PUT", ts.URL+"/v1/namespaces/"+name(n)+"/vectors/v", mustJSON(t, map[string]int64{"bits": 64})); st != http.StatusCreated {
+		t.Fatalf("%s vec create: %d %s", name(n), st, b)
+	}
+	if got, want := svc.reg.LabeledCounterValue("svc_requests", overflow), int64(n-obs.MaxSeriesPerFamily+1); got != want {
+		t.Errorf("svc_requests{overflow} = %d after a request to %s, want %d", got, name(n), want)
 	}
 }

@@ -238,8 +238,10 @@ func (s *Server) nsHandles(name string) *nsHandles {
 }
 
 // maxHandleCache bounds the per-namespace handle cache against clients
-// probing unbounded name sets (mirrors the registry's own cardinality cap).
-const maxHandleCache = 1024
+// probing unbounded name sets.  It is the registry's own cardinality cap: a
+// namespace first seen past it gets only the {overflow="true"} series, so
+// caching its bundle would save nothing.
+const maxHandleCache = obs.MaxSeriesPerFamily
 
 // namespace is one tenant.
 type namespace struct {
